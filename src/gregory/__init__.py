@@ -7,15 +7,13 @@ All sequence values are exact: arbitrary-precision integers or normalized
 rationals.  Floating point only appears in the numeric finite-difference
 verifier for the 1/ln x derivative formula.
 
-The hot loops live in a compiled extension when it was built at install time
-(``gregory._core``) and in a pure-Python twin otherwise; see
-:mod:`gregory._kernels` for the selection logic and the ``bench`` CLI
-subcommand for a side-by-side timing.
+The hot loops (triangle fill, nested sums, series products and division) live
+in :mod:`gregory._kernels`; the ``bench`` CLI subcommand times the four b_n
+routes side by side.
 """
 
 from fractions import Fraction
 
-from ._kernels import active_backend, available_backends, set_backend, use_backend
 from .asequence import (
     ASequence,
     ProbeReport,
@@ -64,10 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Fraction",
     "__version__",
-    "active_backend",
-    "available_backends",
-    "set_backend",
-    "use_backend",
     "ASequence",
     "ProbeReport",
     "a_difference_identity_check",

@@ -11,9 +11,11 @@ routes reach the same numbers through the Stirling triangle:
                 (a(n,k) - n a(n-1,k)) / k!), valid for n >= 2
 
 All four must agree bit-exactly as normalized rationals; the report built by
-:func:`bernoulli2_report` records that agreement per n.
+:func:`bernoulli2_report` records that agreement per n.  :data:`ROUTES` is the
+one registry of the routes: every caller that runs "each method" iterates it.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -23,11 +25,14 @@ from .series import bernoulli2_series
 from .stirling import StirlingTriangle, stirling_triangle
 
 __all__ = [
+    "ROUTES",
+    "Route",
     "MethodReport",
     "bernoulli2_theorem",
     "bernoulli2_nemes",
     "bernoulli2_ank",
     "bernoulli2_report",
+    "bernoulli2_values",
 ]
 
 
@@ -67,6 +72,38 @@ def bernoulli2_ank(n: int, a: ASequence) -> Fraction:
     return (-1) ** n * total / factorial(n)
 
 
+@dataclass(frozen=True)
+class Route:
+    """One b_n route: the smallest n it is stated for, the tables it builds to
+    reach b_max_n, and how it reads b_n from those tables."""
+
+    min_n: int
+    tables: Callable[[int], object]
+    read: Callable[[int, object], Fraction]
+
+
+# Each route keeps its own formula; only building and reading tables is
+# dispatched here.  The lambdas resolve module-level names when called, so a
+# rebound name (a test double, a profiler's wrapper) is the one that runs.
+ROUTES = {
+    "series": Route(0, lambda max_n: bernoulli2_series(max_n), lambda n, b: b[n]),
+    "nemes": Route(
+        0, lambda max_n: stirling_triangle(max_n), lambda n, t: bernoulli2_nemes(n, t)
+    ),
+    "theorem": Route(
+        2, lambda max_n: stirling_triangle(max_n - 1), lambda n, t: bernoulli2_theorem(n, t)
+    ),
+    "ank": Route(2, lambda max_n: ASequence.build(max_n), lambda n, a: bernoulli2_ank(n, a)),
+}
+
+
+def bernoulli2_values(method: str, max_n: int, start: int = 2) -> list:
+    """b_start..b_max_n by one route, its tables built once and only to max_n."""
+    route = ROUTES[method]
+    tables = route.tables(max_n)
+    return [route.read(n, tables) for n in range(start, max_n + 1)]
+
+
 @dataclass
 class MethodReport:
     """Value of b_n under each method, plus the agreement flag."""
@@ -83,21 +120,17 @@ class MethodReport:
         agree = by_series == by_nemes == by_theorem == by_ank
         return cls(n, by_series, by_nemes, by_theorem, by_ank, agree)
 
+    def value(self, method: str) -> Fraction:
+        """b_n as computed by the named route."""
+        return getattr(self, "by_" + method)
+
 
 def bernoulli2_report(max_n: int):
-    """One MethodReport per n in [2, max_n], all methods sharing one table set."""
+    """One MethodReport per n in [2, max_n]; each route builds its own tables."""
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
-    triangle = stirling_triangle(max_n)
-    a = ASequence.from_triangle(triangle, max_n)
-    series = bernoulli2_series(max_n)
+    columns = {method: bernoulli2_values(method, max_n) for method in ROUTES}
     return [
-        MethodReport.gather(
-            n,
-            series[n],
-            bernoulli2_nemes(n, triangle),
-            bernoulli2_theorem(n, triangle),
-            bernoulli2_ank(n, a),
-        )
+        MethodReport.gather(n, **{"by_" + m: values[n - 2] for m, values in columns.items()})
         for n in range(2, max_n + 1)
     ]

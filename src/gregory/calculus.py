@@ -50,14 +50,24 @@ def reciprocal_log_derivative_coeffs(n: int, triangle: StirlingTriangle) -> Deri
 
 
 def evaluate_expansion(e: DerivativeExpansion, x: float) -> float:
-    """Evaluate the expansion at x > 0, x != 1 (1/ln x has a pole at 1)."""
+    """Evaluate the expansion at finite x > 0, x != 1 (1/ln x has a pole at 1).
+
+    Raises ValueError when a term or the result does not fit in a float.
+    """
+    if not math.isfinite(x):
+        raise ValueError("x must be finite, got %r" % x)
     if x <= 0:
         raise ValueError("x must be positive")
     if x == 1:
         raise ValueError("x = 1 is the pole of 1/ln x")
     u = 1.0 / math.log(x)
-    total = math.fsum(c * u ** (k + 1) for k, c in e.coeffs)
-    return total / x ** e.n
+    try:
+        value = math.fsum(c * u ** (k + 1) for k, c in e.coeffs) / x ** e.n
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError("derivative of order %d at x=%r is beyond float range" % (e.n, x))
+    return value
 
 
 def central_difference_weights(n: int):
@@ -106,6 +116,8 @@ def finite_difference_check(n: int, x: float, h: float, tol: float) -> FiniteDif
     """
     if not 1 <= n <= MAX_CHECK_ORDER:
         raise ValueError("n must be in [1, %d]" % MAX_CHECK_ORDER)
+    if not all(map(math.isfinite, (x, h, tol))):
+        raise ValueError("x, h and tol must be finite, got %r, %r, %r" % (x, h, tol))
     if h <= 0:
         raise ValueError("h must be positive")
     if x <= 1:
@@ -122,6 +134,8 @@ def finite_difference_check(n: int, x: float, h: float, tol: float) -> FiniteDif
         float(w) / math.log(x + j * h) for j, w in zip(offsets, weights)
     ) / h ** n
     residual = abs(estimate - expected) / abs(expected)
+    if not math.isfinite(residual):
+        raise ValueError("step h=%g too small: the stencil estimate is %r" % (h, estimate))
     return FiniteDifferenceResult(
         passed=residual <= tol, residual=residual, expected=expected, estimate=estimate
     )

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands compute single values or whole rows, cross-check the four b_n
-methods, probe the a(n,k) row shapes, benchmark the methods and kernel
-backends, and verify the 1/ln x derivative formula numerically.
+methods, probe the a(n,k) row shapes, time the methods, and verify the
+1/ln x derivative formula numerically.  Every per-method loop iterates the
+route registry :data:`gregory.bernoulli.ROUTES`.
 
 Output contract: ``--format frac`` prints human-readable text with exact
 fractions; ``--format json`` emits one object per record with the keys
@@ -19,28 +20,23 @@ import time
 from csv import writer as csv_writer
 from dataclasses import dataclass, field
 
-from ._kernels import active_backend, available_backends, use_backend
 from .asequence import ASequence, probe_row
-from .bernoulli import (
-    bernoulli2_ank,
-    bernoulli2_nemes,
-    bernoulli2_report,
-    bernoulli2_theorem,
-)
+from .bernoulli import ROUTES, bernoulli2_report, bernoulli2_values
 from .calculus import (
     evaluate_expansion,
     finite_difference_check,
     reciprocal_log_derivative_coeffs,
 )
 from .exact import decimal_string, format_rational, harmonic
-from .series import bernoulli2_series
 from .stirling import stirling_triangle
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 
-METHODS = ("series", "nemes", "theorem", "ank")
+METHODS = tuple(ROUTES)
+# bench's "backend" column: the kernels are pure Python.
+BACKEND = "python"
 
 
 class CommandError(Exception):
@@ -126,39 +122,30 @@ def cmd_stirling1(args):
     return EXIT_OK
 
 
-def _bernoulli2_one(n, method):
-    if method == "series":
-        return bernoulli2_series(n)[n]
-    if method == "nemes":
-        return bernoulli2_nemes(n, stirling_triangle(n))
-    if method == "theorem":
-        return bernoulli2_theorem(n, stirling_triangle(n - 1))
-    if method == "ank":
-        return bernoulli2_ank(n, ASequence.build(n))
-    raise AssertionError(method)
+def _agreement_line(n, values, agree):
+    """'n=N <method>=<b_n> ... agree=yes|NO' over the methods in ``values``."""
+    return "n=%d %s agree=%s" % (
+        n,
+        " ".join("%s=%s" % (m, format_rational(v)) for m, v in values.items()),
+        "yes" if agree else "NO",
+    )
 
 
 def cmd_bernoulli2(args):
     n = args.n
     if n < 0:
         raise CommandError("n must be >= 0")
-    if args.method in ("theorem", "ank", "all") and n < 2:
+    methods = METHODS if args.method == "all" else (args.method,)
+    if n < max(ROUTES[m].min_n for m in methods):
         raise CommandError(
             "method %r is stated for n >= 2 only; use series or nemes for b_0, b_1"
             % args.method
         )
+    values = {m: bernoulli2_values(m, n, start=n)[0] for m in methods}
     if args.method == "all":
-        values = {m: _bernoulli2_one(n, m) for m in METHODS}
         agree = len(set(values.values())) == 1
         if args.format == "frac":
-            print(
-                "n=%d %s agree=%s"
-                % (
-                    n,
-                    " ".join("%s=%s" % (m, format_rational(values[m])) for m in METHODS),
-                    "yes" if agree else "NO",
-                )
-            )
+            print(_agreement_line(n, values, agree))
         else:
             records = [
                 OutputRecord(
@@ -173,7 +160,7 @@ def cmd_bernoulli2(args):
             ]
             emit(records, args.format)
         return EXIT_OK if agree else EXIT_VERIFY
-    value = _bernoulli2_one(n, args.method)
+    value = values[args.method]
     dec = _maybe_decimal(value, args.digits)
     if args.format == "frac":
         print(format_rational(value) if dec is None else "%s %s" % (format_rational(value), dec))
@@ -223,36 +210,20 @@ def cmd_crosscheck(args):
     )
     if args.format == "frac":
         for r in reports:
-            print(
-                "n=%d series=%s nemes=%s theorem=%s ank=%s agree=%s"
-                % (
-                    r.n,
-                    format_rational(r.by_series),
-                    format_rational(r.by_nemes),
-                    format_rational(r.by_theorem),
-                    format_rational(r.by_ank),
-                    "yes" if r.agree else "NO",
-                )
-            )
+            print(_agreement_line(r.n, {m: r.value(m) for m in METHODS}, r.agree))
         print(summary)
     else:
-        records = []
-        for r in reports:
-            for method, value in (
-                ("series", r.by_series),
-                ("nemes", r.by_nemes),
-                ("theorem", r.by_theorem),
-                ("ank", r.by_ank),
-            ):
-                records.append(
-                    OutputRecord(
-                        "crosscheck",
-                        [r.n],
-                        format_rational(value),
-                        method=method,
-                        extra={"agree": r.agree},
-                    )
-                )
+        records = [
+            OutputRecord(
+                "crosscheck",
+                [r.n],
+                format_rational(r.value(method)),
+                method=method,
+                extra={"agree": r.agree},
+            )
+            for r in reports
+            for method in METHODS
+        ]
         records.append(OutputRecord("crosscheck", [], summary, method="summary"))
         emit(records, args.format)
     return EXIT_OK if all_agree else EXIT_VERIFY
@@ -315,46 +286,27 @@ def cmd_probe(args):
     return EXIT_OK
 
 
-def _bench_values(method, max_n):
-    """Compute b_2..b_max_n by one method, building its tables from scratch."""
-    if method == "series":
-        return bernoulli2_series(max_n)[2:]
-    if method == "nemes":
-        triangle = stirling_triangle(max_n)
-        return [bernoulli2_nemes(n, triangle) for n in range(2, max_n + 1)]
-    if method == "theorem":
-        triangle = stirling_triangle(max_n - 1)
-        return [bernoulli2_theorem(n, triangle) for n in range(2, max_n + 1)]
-    if method == "ank":
-        a = ASequence.build(max_n)
-        return [bernoulli2_ank(n, a) for n in range(2, max_n + 1)]
-    raise AssertionError(method)
-
-
 def cmd_bench(args):
     if args.max_n < 2:
         raise CommandError("--max-n must be >= 2")
     if args.repeat < 1:
         raise CommandError("--repeat must be >= 1")
-    backends = available_backends() if args.backends else (active_backend(),)
     rows = []
     values_by_method = {}
-    for backend in backends:
-        with use_backend(backend):
-            for method in METHODS:
-                times = []
-                for _ in range(args.repeat):
-                    t0 = time.perf_counter()
-                    values = _bench_values(method, args.max_n)
-                    times.append(time.perf_counter() - t0)
-                rows.append((backend, method, statistics.median(times)))
-                values_by_method.setdefault(method, values)
+    for method in METHODS:
+        times = []
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            values = bernoulli2_values(method, args.max_n)
+            times.append(time.perf_counter() - t0)
+        rows.append((method, statistics.median(times)))
+        values_by_method[method] = values
     agree = len({tuple(v) for v in values_by_method.values()}) == 1
     if args.format == "csv":
         w = csv_writer(sys.stdout, lineterminator="\n")
         w.writerow(["backend", "method", "max_n", "repeat", "median_s"])
-        for backend, method, median in rows:
-            w.writerow([backend, method, args.max_n, args.repeat, "%.6f" % median])
+        for method, median in rows:
+            w.writerow([BACKEND, method, args.max_n, args.repeat, "%.6f" % median])
     elif args.format == "json":
         emit(
             [
@@ -363,16 +315,16 @@ def cmd_bench(args):
                     [args.max_n],
                     "%.6f" % median,
                     method=method,
-                    extra={"backend": backend, "repeat": args.repeat},
+                    extra={"backend": BACKEND, "repeat": args.repeat},
                 )
-                for backend, method, median in rows
+                for method, median in rows
             ],
             "json",
         )
     else:
         print("%-9s %-8s %6s %6s %12s" % ("backend", "method", "max_n", "repeat", "median_s"))
-        for backend, method, median in rows:
-            print("%-9s %-8s %6d %6d %12.6f" % (backend, method, args.max_n, args.repeat, median))
+        for method, median in rows:
+            print("%-9s %-8s %6d %6d %12.6f" % (BACKEND, method, args.max_n, args.repeat, median))
         print("methods agree: %s" % ("yes" if agree else "NO"))
     return EXIT_OK if agree else EXIT_VERIFY
 
@@ -392,7 +344,7 @@ def cmd_deriv(args):
         value = evaluate_expansion(expansion, args.x)
         lines.append("value at x=%r: %.12g" % (args.x, value))
         extra["x"] = args.x
-        extra["value"] = value
+        extra["value_at_x"] = value
     if args.check is not None:
         h, tol = args.check
         result = finite_difference_check(n, args.x, h, tol)
@@ -481,11 +433,6 @@ def build_parser():
     p = sub.add_parser("bench", parents=[common], help="time the four b_n methods")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--repeat", type=int, default=1)
-    p.add_argument(
-        "--backends",
-        action="store_true",
-        help="time every available kernel backend, not just the active one",
-    )
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("deriv", parents=[common], help="n-th derivative of 1/ln x")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gregory import bernoulli
 from gregory import (
     ASequence,
     MethodReport,
@@ -95,6 +96,23 @@ def test_report_to_5():
 def test_report_domain():
     with pytest.raises(ValueError):
         bernoulli2_report(1)
+
+
+def test_single_value_reads_b_n_alone_from_tables_built_to_n(monkeypatch):
+    # Routes resolve their formulas by module-level name, so rebinding one
+    # sees every call.
+    calls = []
+    for name in ("bernoulli2_nemes", "bernoulli2_theorem", "bernoulli2_ank"):
+        real = getattr(bernoulli, name)
+        monkeypatch.setattr(
+            bernoulli,
+            name,
+            lambda n, table, real=real: calls.append((n, table.max_n)) or real(n, table),
+        )
+    for method, table_max_n in (("nemes", 9), ("theorem", 8), ("ank", 9)):
+        calls.clear()
+        assert bernoulli.bernoulli2_values(method, 9, start=9) == [F(8183, 1036800)]
+        assert calls == [(9, table_max_n)]
 
 
 def test_method_report_flags_disagreement():

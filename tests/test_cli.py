@@ -152,16 +152,6 @@ def test_bench_domain(capsys):
     assert code == 1
 
 
-def test_bench_backends_flag_times_every_backend(capsys):
-    from gregory import available_backends
-
-    code, out, _ = run(["bench", "--max-n", "3", "--backends", "--format", "csv"], capsys)
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))[1:]
-    assert len(rows) == 4 * len(available_backends())
-    assert {r[0] for r in rows} == set(available_backends())
-
-
 def test_module_entry_point():
     import subprocess
     import sys
@@ -202,6 +192,45 @@ def test_deriv_at_pole(capsys):
 def test_deriv_check_requires_x(capsys):
     code, _, err = run(["deriv", "1", "--check", "1e-4", "1e-6"], capsys)
     assert code == 1
+
+
+def test_deriv_json_keeps_coefficients_beside_value_at_x(capsys):
+    code, out, _ = run(["deriv", "2", "3.0", "--format", "json"], capsys)
+    assert code == 0
+    record = json.loads(out)[0]
+    assert record["value"] == ["1", "2"]
+    assert record["x"] == 3.0
+    assert record["value_at_x"] == pytest.approx(0.2596518204009)
+
+
+def test_deriv_beyond_float_range_is_clean_error():
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "gregory", "deriv", "200", "2.0"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["deriv", "1", "nan", "--format", "json"],
+    ["deriv", "1", "inf"],
+    ["deriv", "3", "2.0", "--check", "nan", "1e-6"],
+    ["deriv", "3", "2.0", "--check", "1e-4", "inf"],
+    # A step this small gives an infinite stencil estimate.
+    ["deriv", "4", "1.1", "--check", "1.3e-81", "1e-6", "--format", "json"],
+])
+def test_deriv_rejects_non_finite_input(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -246,6 +275,32 @@ def test_json_and_csv_values_identical(argv, capsys):
     code_c, out_c, _ = run(argv + ["--format", "csv"], capsys)
     assert code_j == code_c == 0
     assert _json_values(out_j) == _csv_values(out_c)
+
+
+def _reject_constant(name):
+    raise ValueError("non-standard JSON constant %s" % name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["stirling1", "5"],
+    ["stirling1", "5", "2"],
+    ["bernoulli2", "6", "--method", "all", "--digits", "8"],
+    ["harmonic", "7", "--digits", "4"],
+    ["ank", "5", "3"],
+    ["crosscheck", "--max-n", "5"],
+    ["probe", "--max-n", "5"],
+    ["bench", "--max-n", "3"],
+    ["deriv", "2", "3.0"],
+    ["deriv", "3", "2.0", "--check", "1e-3", "1e-4"],
+])
+def test_json_output_is_strict_and_exact(argv, capsys):
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    records = json.loads(out, parse_constant=_reject_constant)
+    for r in records:
+        assert {"kind", "n", "k", "method", "value", "decimal"} <= set(r)
+        values = r["value"] if isinstance(r["value"], list) else [r["value"]]
+        assert all(isinstance(v, str) for v in values)
 
 
 def test_json_value_round_trips(capsys):

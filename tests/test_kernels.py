@@ -1,45 +1,24 @@
-"""Backend parity: the compiled kernels must match the pure-Python twins."""
+"""Kernels against an independent oracle, plus their (num, den) invariants."""
 
 from math import gcd
 
 import pytest
 
-from gregory import _core_py, _kernels
-
-compiled = _kernels._core
-needs_compiled = pytest.mark.skipif(compiled is None, reason="compiled core not built")
+from gregory import _kernels
 
 
-def _log1p_pairs(order):
-    return [(0, 1)] + [((-1) ** (j + 1), j) for j in range(1, order + 1)]
-
-
-@needs_compiled
-def test_stirling_rows_parity():
-    assert compiled.stirling_rows(40) == _core_py.stirling_rows(40)
-
-
-@needs_compiled
-def test_nested_sum_table_parity():
-    assert compiled.nested_sum_table(12, 24) == _core_py.nested_sum_table(12, 24)
-
-
-@needs_compiled
-def test_series_mul_parity():
-    a = _log1p_pairs(25)
-    assert compiled.series_mul_pairs(a, a) == _core_py.series_mul_pairs(a, a)
-
-
-@needs_compiled
-def test_series_div_parity():
-    order = 25
-    num = [(1, 1)] + [(0, 1)] * order
-    den = [((-1) ** j, j + 1) for j in range(order + 1)]
-    assert compiled.series_div_pairs(num, den) == _core_py.series_div_pairs(num, den)
+def test_stirling_rows_match_sympy():
+    numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    rows = _kernels.stirling_rows(60)
+    expected = [
+        [int(numbers.stirling(n, k, kind=1, signed=True)) for k in range(n + 1)]
+        for n in range(61)
+    ]
+    assert rows == expected
 
 
 def test_pairs_are_normalized():
-    table = _core_py.nested_sum_table(6, 12)
+    table = _kernels.nested_sum_table(6, 12)
     for row in table:
         for num, den in row:
             assert den > 0
@@ -48,36 +27,4 @@ def test_pairs_are_normalized():
 
 def test_div_rejects_zero_leading_coefficient():
     with pytest.raises(ZeroDivisionError):
-        _core_py.series_div_pairs([(1, 1)], [(0, 1)])
-
-
-def test_backend_switching():
-    original = _kernels.active_backend()
-    try:
-        assert _kernels.set_backend("python") == "python"
-        assert _kernels.active_backend() == "python"
-        with _kernels.use_backend(_kernels.available_backends()[0]):
-            assert _kernels.active_backend() == _kernels.available_backends()[0]
-        assert _kernels.active_backend() == "python"
-        _kernels.set_backend("auto")
-        assert _kernels.active_backend() == _kernels.available_backends()[0]
-    finally:
-        _kernels.set_backend(original)
-
-
-def test_backend_bad_name():
-    with pytest.raises(ValueError):
-        _kernels.set_backend("fortran")
-
-
-def test_library_results_identical_across_backends():
-    from gregory import bernoulli2_series, stirling_triangle
-
-    rows = []
-    series = []
-    for backend in _kernels.available_backends():
-        with _kernels.use_backend(backend):
-            rows.append(stirling_triangle(15).row(15))
-            series.append(bernoulli2_series(15))
-    assert all(r == rows[0] for r in rows)
-    assert all(s == series[0] for s in series)
+        _kernels.series_div_pairs([(1, 1)], [(0, 1)])
