@@ -5,7 +5,8 @@ Rationals travel as ``(num, den)`` tuples of Python ints with ``den > 0`` and
 ``gcd(num, den) == 1``.
 """
 
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 
 def stirling_rows(max_n):
@@ -79,32 +80,34 @@ def series_div_pairs(num, den):
     """Long division of coefficient lists; den[0] must be nonzero.
 
     Returns q with (q * den)[j] = num[j] for all j <= len(num) - 1.
+
+    Both lists are scaled to integers, num = N/Ln and den = D/Ld with Ln, Ld
+    the lcms of their denominators.  Every quotient coefficient found so far
+    is held as an integer numerator P[i] over one running denominator R, a
+    multiple of Ln, so that D[0] q[j] = (N[j] Ld R/Ln - sum P[i] D[j-i]) / R
+    is an integer sum with one gcd per coefficient.
     """
-    d0n, d0d = den[0]
-    if d0n == 0:
+    if den[0][0] == 0:
         raise ZeroDivisionError("leading coefficient of divisor is zero")
-    n = len(num) - 1
+    ln = lcm(*(d for _, d in num))
+    ld = lcm(*(d for _, d in den))
+    big_n = [n * (ln // d) for n, d in num]
+    big_d = [n * (ld // d) for n, d in den]
+    d0 = big_d[0]
+    r = ln
+    p = []
     q = []
-    for j in range(n + 1):
-        sn, sd = num[j]
-        for i in range(j):
-            pn = q[i][0] * den[j - i][0]
-            if pn:
-                pd = q[i][1] * den[j - i][1]
-                sn = sn * pd - pn * sd
-                sd *= pd
-                g = gcd(sn, sd)
-                if g > 1:
-                    sn //= g
-                    sd //= g
-        qn = sn * d0d
-        qd = sd * d0n
+    for j, nj in enumerate(big_n):
+        s = nj * ld * (r // ln) - sum(map(mul, p, big_d[j:0:-1]))
+        qd = r * d0
+        g = gcd(s, qd)
+        qn, qd = s // g, qd // g
         if qd < 0:
-            qn = -qn
-            qd = -qd
-        g = gcd(qn, qd)
-        if g > 1:
-            qn //= g
-            qd //= g
-        q.append((qn, qd) if qn else (0, 1))
+            qn, qd = -qn, -qd
+        q.append((qn, qd))
+        grow = qd // gcd(r, qd)
+        if grow > 1:
+            r *= grow
+            p = [x * grow for x in p]
+        p.append(qn * (r // qd))
     return q

@@ -39,17 +39,26 @@ class ASequence:
 
     @classmethod
     def from_triangle(cls, triangle: StirlingTriangle, max_n: int) -> "ASequence":
-        """Fill the table through row max_n via the Stirling relation."""
+        """Fill the table through row max_n via the Stirling relation.
+
+        Each row reads s(n, .) once and keeps (k-1)! as a running product.
+        """
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
         if triangle.max_n < max_n:
             raise ValueError(
                 "triangle filled to row %d, need row %d" % (triangle.max_n, max_n)
             )
-        rows = [
-            [a_from_stirling(n, k, triangle) for k in range(2, n + 2)]
-            for n in range(1, max_n + 1)
-        ]
+        rows = []
+        for n in range(1, max_n + 1):
+            s_row = triangle.row(n)
+            row = []
+            fact = 1  # (k-1)!
+            for k in range(2, n + 2):
+                fact *= k - 1
+                value = fact * s_row[k - 1]
+                row.append(value if (n + k) & 1 else -value)  # (-1)^(n+k-1)
+            rows.append(row)
         return cls(rows)
 
     @classmethod

@@ -18,7 +18,7 @@ one registry of the routes: every caller that runs "each method" iterates it.
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .asequence import ASequence
 from .series import bernoulli2_series
@@ -37,39 +37,55 @@ __all__ = [
 
 
 def bernoulli2_theorem(n: int, triangle: StirlingTriangle) -> Fraction:
-    """b_n from row n-1 of the triangle with weights (-1)^k / ((k+1)(k+2))."""
+    """b_n from row n-1 of the triangle with weights (-1)^k / ((k+1)(k+2)).
+
+    The terms are summed as integers over L = lcm(2..n+1): (k+1) and (k+2)
+    are coprime and both at most n+1, so their product divides L.
+    """
     if n < 2:
         raise ValueError("this formula is stated for n >= 2")
     if triangle.max_n < n - 1:
         raise ValueError("triangle filled to row %d, need row %d" % (triangle.max_n, n - 1))
-    total = Fraction(0)
+    row = triangle.row(n - 1)
+    big_l = lcm(*range(2, n + 2))
+    total = 0
     for k in range(1, n):
-        total += Fraction((-1) ** k * triangle.value(n - 1, k), (k + 1) * (k + 2))
-    return total / factorial(n)
+        term = row[k] * (big_l // ((k + 1) * (k + 2)))
+        total += -term if k & 1 else term
+    return Fraction(total, big_l * factorial(n))
 
 
 def bernoulli2_nemes(n: int, triangle: StirlingTriangle) -> Fraction:
-    """b_n from row n of the triangle with weights 1/(k+1); valid for n >= 0."""
+    """b_n from row n of the triangle with weights 1/(k+1); valid for n >= 0.
+
+    The terms are summed as integers over L = lcm(1..n+1).
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if triangle.max_n < n:
         raise ValueError("triangle filled to row %d, need row %d" % (triangle.max_n, n))
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += Fraction(triangle.value(n, k), k + 1)
-    return total / factorial(n)
+    big_l = lcm(*range(1, n + 2))
+    total = sum(s * (big_l // (k + 1)) for k, s in enumerate(triangle.row(n)))
+    return Fraction(total, big_l * factorial(n))
 
 
 def bernoulli2_ank(n: int, a: ASequence) -> Fraction:
-    """b_n from first differences of the a(n,k) table; valid for n >= 2."""
+    """b_n from first differences of the a(n,k) table; valid for n >= 2.
+
+    The terms are summed as integers over (n+1)!: term k carries the weight
+    (n+1)!/k! = (k+1)(k+2)...(n+1), applied in Horner form, and the leading
+    1/(n+1) becomes n!.
+    """
     if n < 2:
         raise ValueError("this formula is stated for n >= 2")
     if a.max_n < n:
         raise ValueError("a-table filled to row %d, need row %d" % (a.max_n, n))
-    total = Fraction(1, n + 1)
+    row, prev = a.row(n), a.row(n - 1)  # a(n,2..n+1) and a(n-1,2..n)
+    total = 0
     for k in range(2, n + 1):
-        total += Fraction(a.value(n, k) - n * a.value(n - 1, k), factorial(k))
-    return (-1) ** n * total / factorial(n)
+        total = (total + row[k - 2] - n * prev[k - 2]) * (k + 1)
+    n_fact = factorial(n)
+    return Fraction((-1) ** n * (total + n_fact), (n + 1) * n_fact * n_fact)
 
 
 @dataclass(frozen=True)

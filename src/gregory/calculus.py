@@ -128,6 +128,8 @@ def finite_difference_check(n: int, x: float, h: float, tol: float) -> FiniteDif
             "stencil [%g, %g] crosses the pole at t = 1"
             % (x + offsets[0] * h, x + offsets[-1] * h)
         )
+    if h ** n == 0:
+        raise ValueError("step h=%g too small: h**%d underflows to 0" % (h, n))
     expansion = reciprocal_log_derivative_coeffs(n, stirling_triangle(n))
     expected = evaluate_expansion(expansion, x)
     estimate = math.fsum(

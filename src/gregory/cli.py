@@ -9,11 +9,13 @@ Output contract: ``--format frac`` prints human-readable text with exact
 fractions; ``--format json`` emits one object per record with the keys
 kind, n, k, method, value, decimal (plus kind-specific extras); ``--format
 csv`` emits the same values with those six columns.  Exit codes: 0 success,
-1 usage or domain error, 2 verification failure.
+1 usage or domain error, 2 verification failure.  A reader that closes the
+output pipe early ends the command quietly with exit 1.
 """
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
@@ -460,6 +462,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader closed stdout early (``gregory probe ... | head``).  Point
+        # the stdout descriptor at devnull so that flushing the rest of the
+        # buffer at interpreter exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_USAGE
 
 

@@ -132,3 +132,24 @@ def test_magnitude_strictly_decreasing_to_200():
     b = bernoulli2_series(200)
     for n in range(2, 200):
         assert abs(b[n]) > abs(b[n + 1])
+
+
+@pytest.fixture(scope="module")
+def sympy_gregory_60():
+    """b_0..b_60 as (1/n!) * integral_0^1 x(x-1)...(x-n+1) dx, by sympy alone."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    falling = sympy.Poly(1, x, domain="QQ")
+    values = []
+    for n in range(61):
+        if n:
+            falling *= sympy.Poly(x - (n - 1), x, domain="QQ")
+        b = falling.integrate().eval(1) / sympy.factorial(n)
+        values.append(F(int(b.p), int(b.q)))
+    return values
+
+
+@pytest.mark.parametrize("method", sorted(bernoulli.ROUTES))
+def test_every_route_matches_sympy_integral_to_60(method, sympy_gregory_60):
+    start = 0 if method == "series" else 2
+    assert bernoulli.bernoulli2_values(method, 60, start) == sympy_gregory_60[start:]

@@ -233,6 +233,32 @@ def test_deriv_rejects_non_finite_input(argv, capsys):
     assert err.startswith("error:")
 
 
+
+def test_deriv_check_step_whose_power_underflows_is_named(capsys):
+    # 1e-60 ** 6 underflows to 0.0; the error must say the step is too small.
+    code, out, err = run(["deriv", "6", "3.0", "--check", "1e-60", "1e-6"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: step h=1e-60 too small")
+
+
+def test_closed_output_pipe_ends_quietly():
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gregory", "probe", "--max-n", "150"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"n=1 ")
+    proc.stdout.close()  # the reader goes away with megabytes still unwritten
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert err == ""
+
 def test_no_arguments_is_usage_error(capsys):
     code, _, err = run([], capsys)
     assert code == 1
