@@ -7,9 +7,9 @@ All sequence values are exact: arbitrary-precision integers or normalized
 rationals.  Floating point only appears in the numeric finite-difference
 verifier for the 1/ln x derivative formula.
 
-The hot loops (triangle fill, nested sums, series products and division) live
-in :mod:`gregory._kernels`; the ``bench`` CLI subcommand times the four b_n
-routes side by side.
+The hot loops (the Stirling row recursion, nested sums, series products and
+division) live in :mod:`gregory._kernels`; the ``bench`` CLI subcommand times
+the four b_n routes side by side.
 """
 
 from fractions import Fraction
@@ -20,6 +20,9 @@ from .asequence import (
     a_difference_identity_check,
     a_from_stirling,
     a_nested_sum,
+    a_row,
+    a_rows,
+    probe_a_row,
     probe_row,
 )
 from .bernoulli import (
@@ -34,6 +37,7 @@ from .calculus import (
     FiniteDifferenceResult,
     central_difference_weights,
     evaluate_expansion,
+    expansion_from_row,
     finite_difference_check,
     reciprocal_log_derivative_coeffs,
 )
@@ -54,6 +58,7 @@ from .stirling import (
     stirling_column_recurrence,
     stirling_nested_sum,
     stirling_nested_sum_direct,
+    stirling_row,
     stirling_triangle,
 )
 
@@ -67,6 +72,9 @@ __all__ = [
     "a_difference_identity_check",
     "a_from_stirling",
     "a_nested_sum",
+    "a_row",
+    "a_rows",
+    "probe_a_row",
     "probe_row",
     "MethodReport",
     "bernoulli2_ank",
@@ -77,6 +85,7 @@ __all__ = [
     "FiniteDifferenceResult",
     "central_difference_weights",
     "evaluate_expansion",
+    "expansion_from_row",
     "finite_difference_check",
     "reciprocal_log_derivative_coeffs",
     "decimal_string",
@@ -97,5 +106,6 @@ __all__ = [
     "stirling_column_recurrence",
     "stirling_nested_sum",
     "stirling_nested_sum_direct",
+    "stirling_row",
     "stirling_triangle",
 ]

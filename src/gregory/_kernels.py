@@ -1,5 +1,5 @@
-"""Kernels for the hot loops: triangle fill, nested sums, series products and
-long division.
+"""Kernels for the hot loops: the Stirling row recursion, nested sums, series
+products and long division.
 
 Rationals travel as ``(num, den)`` tuples of Python ints with ``den > 0`` and
 ``gcd(num, den) == 1``.
@@ -10,22 +10,29 @@ from operator import mul
 
 
 def stirling_rows(max_n):
-    """Signed first-kind Stirling triangle, rows 0..max_n.
+    """Rows 0..max_n of the signed first-kind Stirling triangle, one at a time.
 
-    rows[n][k] = s(n,k), built by s(n+1,k) = s(n,k-1) - n*s(n,k) with
-    s(0,0) = 1 and s(n,0) = 0 for n >= 1.
+    Yields row n as the list [s(n,0), ..., s(n,n)], built from row n-1 by
+    s(n+1,k) = s(n,k-1) - n*s(n,k) with s(0,0) = 1 and s(n,0) = 0 for
+    n >= 1.  Only the row being built and the one before it are held, so a
+    caller that keeps no rows needs O(max_n) integers.  max_n is checked
+    when the function is called, not when the first row is taken.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    rows = [[1]]
+    return _stirling_rows(max_n)
+
+
+def _stirling_rows(max_n):
+    prev = [1]
+    yield prev
     for n in range(max_n):
-        prev = rows[n]
         row = [0] * (n + 2)
         for k in range(1, n + 1):
             row[k] = prev[k - 1] - n * prev[k]
         row[n + 1] = prev[n]
-        rows.append(row)
-    return rows
+        yield row
+        prev = row
 
 
 def nested_sum_table(max_depth, max_top):

@@ -17,15 +17,18 @@ from fractions import Fraction
 from math import factorial
 
 from . import _kernels
-from .stirling import StirlingTriangle, stirling_triangle
+from .stirling import StirlingTriangle
 
 __all__ = [
     "ASequence",
     "ProbeReport",
+    "a_row",
+    "a_rows",
     "a_nested_sum",
     "a_from_stirling",
     "a_difference_identity_check",
     "probe_row",
+    "probe_a_row",
 ]
 
 
@@ -39,31 +42,20 @@ class ASequence:
 
     @classmethod
     def from_triangle(cls, triangle: StirlingTriangle, max_n: int) -> "ASequence":
-        """Fill the table through row max_n via the Stirling relation.
-
-        Each row reads s(n, .) once and keeps (k-1)! as a running product.
-        """
+        """Fill the table through row max_n via the Stirling relation."""
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
         if triangle.max_n < max_n:
             raise ValueError(
                 "triangle filled to row %d, need row %d" % (triangle.max_n, max_n)
             )
-        rows = []
-        for n in range(1, max_n + 1):
-            s_row = triangle.row(n)
-            row = []
-            fact = 1  # (k-1)!
-            for k in range(2, n + 2):
-                fact *= k - 1
-                value = fact * s_row[k - 1]
-                row.append(value if (n + k) & 1 else -value)  # (-1)^(n+k-1)
-            rows.append(row)
-        return cls(rows)
+        return cls([a_row(n, triangle.row(n)) for n in range(1, max_n + 1)])
 
     @classmethod
     def build(cls, max_n: int) -> "ASequence":
-        return cls.from_triangle(stirling_triangle(max_n), max_n)
+        if max_n < 1:
+            raise ValueError("max_n must be >= 1")
+        return cls(list(a_rows(max_n)))
 
     @property
     def max_n(self) -> int:
@@ -87,6 +79,26 @@ class ASequence:
 
     def __repr__(self):
         return "ASequence(max_n=%d)" % self.max_n
+
+
+def a_row(n: int, s_row) -> list:
+    """Row n of the table, [a(n,2), ..., a(n,n+1)], from the Stirling row
+    s(n,0..n); (k-1)! is kept as a running product."""
+    row = []
+    fact = 1  # (k-1)!
+    for k in range(2, n + 2):
+        fact *= k - 1
+        value = fact * s_row[k - 1]
+        row.append(value if (n + k) & 1 else -value)  # (-1)^(n+k-1)
+    return row
+
+
+def a_rows(max_n: int):
+    """Rows 1..max_n of the table, one at a time, each made from its Stirling
+    row as the recursion streams it; no earlier row is kept."""
+    s_rows = _kernels.stirling_rows(max_n)
+    next(s_rows)  # s(0,.) has no a-row
+    return (a_row(n, s_row) for n, s_row in enumerate(s_rows, 1))
 
 
 def a_nested_sum(n: int, k: int) -> int:
@@ -141,14 +153,29 @@ class ProbeReport:
 
 
 def probe_row(n: int, a: ASequence, previous: ProbeReport = None) -> ProbeReport:
+    """:func:`probe_a_row` on row n of the table.
+
+    The growth check compares against ``previous.row`` when the caller
+    supplies the matching report, otherwise against row n-1 of the table.
+    """
+    if previous is not None and previous.n == n - 1:
+        prev_row = previous.row
+    elif n >= 2:
+        prev_row = a.row(n - 1)
+    else:
+        prev_row = None
+    return probe_a_row(n, a.row(n), prev_row)
+
+
+def probe_a_row(n: int, row, prev_row=None) -> ProbeReport:
     """Report peak positions, unimodality, and growth against row n-1.
 
-    A row counts as unimodal when it rises weakly to a single maximal plateau
-    and falls weakly afterwards; a flat plateau of equal maxima is fine.  The
-    growth check compares against ``previous.row`` when the caller supplies
-    the matching report, otherwise against row n-1 of the table.
+    ``row`` is (a(n,2), ..., a(n,n+1)) and ``prev_row`` is row n-1, or None
+    for no growth check.  A row counts as unimodal when it rises weakly to a
+    single maximal plateau and falls weakly afterwards; a flat plateau of
+    equal maxima is fine.
     """
-    row = list(a.row(n))
+    row = list(row)
     top = max(row)
     first = row.index(top)
     last = len(row) - 1 - row[::-1].index(top)
@@ -159,18 +186,9 @@ def probe_row(n: int, a: ASequence, previous: ProbeReport = None) -> ProbeReport
     peaks = [i + 2 for i in range(first, last + 1)] if plateau_solid else [
         i + 2 for i, v in enumerate(row) if v == top
     ]
-
-    if previous is not None and previous.n == n - 1:
-        prev_row = previous.row
-    elif n >= 2:
-        prev_row = list(a.row(n - 1))
-    else:
-        prev_row = None
-    if prev_row is None:
-        increasing = True
-    else:
-        increasing = all(row[i] >= prev_row[i] for i in range(len(prev_row)))
-
+    increasing = prev_row is None or all(
+        row[i] >= prev_row[i] for i in range(len(prev_row))
+    )
     return ProbeReport(
         n=n,
         row=row,

@@ -15,14 +15,15 @@ All four must agree bit-exactly as normalized rationals; the report built by
 one registry of the routes: every caller that runs "each method" iterates it.
 """
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from .asequence import ASequence
+from . import _kernels
+from .asequence import ASequence, a_row
 from .series import bernoulli2_series
-from .stirling import StirlingTriangle, stirling_triangle
+from .stirling import StirlingTriangle
 
 __all__ = [
     "ROUTES",
@@ -35,89 +36,123 @@ __all__ = [
     "bernoulli2_values",
 ]
 
+# Each formula is written once, as a function of the row(s) it reads; the
+# public readers below take those rows from a table, the route streams in
+# ROUTES from the row recursion.
 
-def bernoulli2_theorem(n: int, triangle: StirlingTriangle) -> Fraction:
-    """b_n from row n-1 of the triangle with weights (-1)^k / ((k+1)(k+2)).
 
-    The terms are summed as integers over L = lcm(2..n+1): (k+1) and (k+2)
-    are coprime and both at most n+1, so their product divides L.
-    """
-    if n < 2:
-        raise ValueError("this formula is stated for n >= 2")
-    if triangle.max_n < n - 1:
-        raise ValueError("triangle filled to row %d, need row %d" % (triangle.max_n, n - 1))
-    row = triangle.row(n - 1)
+def _theorem(n, s_prev):
+    """b_n from s(n-1, 0..n-1), summed as integers over L = lcm(2..n+1): (k+1)
+    and (k+2) are coprime and both at most n+1, so their product divides L."""
     big_l = lcm(*range(2, n + 2))
     total = 0
     for k in range(1, n):
-        term = row[k] * (big_l // ((k + 1) * (k + 2)))
+        term = s_prev[k] * (big_l // ((k + 1) * (k + 2)))
         total += -term if k & 1 else term
     return Fraction(total, big_l * factorial(n))
 
 
-def bernoulli2_nemes(n: int, triangle: StirlingTriangle) -> Fraction:
-    """b_n from row n of the triangle with weights 1/(k+1); valid for n >= 0.
-
-    The terms are summed as integers over L = lcm(1..n+1).
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if triangle.max_n < n:
-        raise ValueError("triangle filled to row %d, need row %d" % (triangle.max_n, n))
+def _nemes(n, s_row):
+    """b_n from s(n, 0..n), summed as integers over L = lcm(1..n+1)."""
     big_l = lcm(*range(1, n + 2))
-    total = sum(s * (big_l // (k + 1)) for k, s in enumerate(triangle.row(n)))
+    total = sum(s * (big_l // (k + 1)) for k, s in enumerate(s_row))
     return Fraction(total, big_l * factorial(n))
 
 
-def bernoulli2_ank(n: int, a: ASequence) -> Fraction:
-    """b_n from first differences of the a(n,k) table; valid for n >= 2.
-
-    The terms are summed as integers over (n+1)!: term k carries the weight
-    (n+1)!/k! = (k+1)(k+2)...(n+1), applied in Horner form, and the leading
-    1/(n+1) becomes n!.
-    """
-    if n < 2:
-        raise ValueError("this formula is stated for n >= 2")
-    if a.max_n < n:
-        raise ValueError("a-table filled to row %d, need row %d" % (a.max_n, n))
-    row, prev = a.row(n), a.row(n - 1)  # a(n,2..n+1) and a(n-1,2..n)
+def _ank(n, a_n, a_prev):
+    """b_n from a(n, 2..n+1) and a(n-1, 2..n), summed as integers over
+    (n+1)!: term k carries the weight (n+1)!/k! = (k+1)(k+2)...(n+1), applied
+    in Horner form, and the leading 1/(n+1) becomes n!."""
     total = 0
     for k in range(2, n + 1):
-        total = (total + row[k - 2] - n * prev[k - 2]) * (k + 1)
+        total = (total + a_n[k - 2] - n * a_prev[k - 2]) * (k + 1)
     n_fact = factorial(n)
     return Fraction((-1) ** n * (total + n_fact), (n + 1) * n_fact * n_fact)
 
 
+def bernoulli2_theorem(n: int, triangle: StirlingTriangle) -> Fraction:
+    """b_n from row n-1 of the triangle with weights (-1)^k / ((k+1)(k+2))."""
+    if n < 2:
+        raise ValueError("this formula is stated for n >= 2")
+    if triangle.max_n < n - 1:
+        raise ValueError("triangle filled to row %d, need row %d" % (triangle.max_n, n - 1))
+    return _theorem(n, triangle.row(n - 1))
+
+
+def bernoulli2_nemes(n: int, triangle: StirlingTriangle) -> Fraction:
+    """b_n from row n of the triangle with weights 1/(k+1); valid for n >= 0."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if triangle.max_n < n:
+        raise ValueError("triangle filled to row %d, need row %d" % (triangle.max_n, n))
+    return _nemes(n, triangle.row(n))
+
+
+def bernoulli2_ank(n: int, a: ASequence) -> Fraction:
+    """b_n from first differences of the a(n,k) table; valid for n >= 2."""
+    if n < 2:
+        raise ValueError("this formula is stated for n >= 2")
+    if a.max_n < n:
+        raise ValueError("a-table filled to row %d, need row %d" % (a.max_n, n))
+    return _ank(n, a.row(n), a.row(n - 1))
+
+
+# The route streams.  Each holds at most two rows at a time and builds the
+# rows its formula reads only for the n it yields.
+
+
+def _series_stream(max_n, start):
+    yield from bernoulli2_series(max_n)[start:]
+
+
+def _nemes_stream(max_n, start):
+    for n, s_row in enumerate(_kernels.stirling_rows(max_n)):
+        if n >= start:
+            yield _nemes(n, s_row)
+
+
+def _theorem_stream(max_n, start):
+    for n, s_prev in enumerate(_kernels.stirling_rows(max_n - 1), 1):
+        if n >= start:
+            yield _theorem(n, s_prev)
+
+
+def _ank_stream(max_n, start):
+    a_prev = None
+    for n, s_row in enumerate(_kernels.stirling_rows(max_n)):
+        if n >= start - 1:
+            a_n = a_row(n, s_row)
+            if n >= start:
+                yield _ank(n, a_n, a_prev)
+            a_prev = a_n
+
+
 @dataclass(frozen=True)
 class Route:
-    """One b_n route: the smallest n it is stated for, the tables it builds to
-    reach b_max_n, and how it reads b_n from those tables."""
+    """One b_n route: the smallest n it is stated for, and its stream
+    ``stream(max_n, start)`` of b_start..b_max_n."""
 
     min_n: int
-    tables: Callable[[int], object]
-    read: Callable[[int, object], Fraction]
+    stream: Callable[[int, int], Iterator[Fraction]]
 
 
-# Each route keeps its own formula; only building and reading tables is
-# dispatched here.  The lambdas resolve module-level names when called, so a
-# rebound name (a test double, a profiler's wrapper) is the one that runs.
+# The streams resolve module-level names (the row formulas, the kernel, the
+# series) when called, so a rebound name (a test double, a profiler's
+# wrapper) is the one that runs.
 ROUTES = {
-    "series": Route(0, lambda max_n: bernoulli2_series(max_n), lambda n, b: b[n]),
-    "nemes": Route(
-        0, lambda max_n: stirling_triangle(max_n), lambda n, t: bernoulli2_nemes(n, t)
-    ),
-    "theorem": Route(
-        2, lambda max_n: stirling_triangle(max_n - 1), lambda n, t: bernoulli2_theorem(n, t)
-    ),
-    "ank": Route(2, lambda max_n: ASequence.build(max_n), lambda n, a: bernoulli2_ank(n, a)),
+    "series": Route(0, _series_stream),
+    "nemes": Route(0, _nemes_stream),
+    "theorem": Route(2, _theorem_stream),
+    "ank": Route(2, _ank_stream),
 }
 
 
 def bernoulli2_values(method: str, max_n: int, start: int = 2) -> list:
-    """b_start..b_max_n by one route, its tables built once and only to max_n."""
+    """b_start..b_max_n by one route, from its row stream."""
     route = ROUTES[method]
-    tables = route.tables(max_n)
-    return [route.read(n, tables) for n in range(start, max_n + 1)]
+    if start < route.min_n:
+        raise ValueError("the %s route is stated for n >= %d" % (method, route.min_n))
+    return list(route.stream(max_n, start))
 
 
 @dataclass
@@ -142,7 +177,7 @@ class MethodReport:
 
 
 def bernoulli2_report(max_n: int):
-    """One MethodReport per n in [2, max_n]; each route builds its own tables."""
+    """One MethodReport per n in [2, max_n]; each route streams its own rows."""
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
     columns = {method: bernoulli2_values(method, max_n) for method in ROUTES}

@@ -12,15 +12,17 @@ precision at a relative tolerance.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .stirling import StirlingTriangle, stirling_triangle
+from .stirling import StirlingTriangle, stirling_row
 
 __all__ = [
     "DerivativeExpansion",
     "FiniteDifferenceResult",
     "reciprocal_log_derivative_coeffs",
+    "expansion_from_row",
     "evaluate_expansion",
     "central_difference_weights",
     "finite_difference_check",
@@ -43,9 +45,12 @@ def reciprocal_log_derivative_coeffs(n: int, triangle: StirlingTriangle) -> Deri
         raise ValueError("n must be >= 1")
     if triangle.max_n < n:
         raise ValueError("triangle filled to row %d, need row %d" % (triangle.max_n, n))
-    coeffs = [
-        (k, (-1) ** k * math.factorial(k) * triangle.value(n, k)) for k in range(1, n + 1)
-    ]
+    return expansion_from_row(n, triangle.row(n))
+
+
+def expansion_from_row(n: int, s_row) -> DerivativeExpansion:
+    """The expansion of the n-th derivative from the Stirling row s(n, 0..n)."""
+    coeffs = [(k, (-1) ** k * math.factorial(k) * s_row[k]) for k in range(1, n + 1)]
     return DerivativeExpansion(n=n, coeffs=coeffs)
 
 
@@ -106,6 +111,7 @@ class FiniteDifferenceResult:
     residual: float  # relative deviation between stencil and closed form
     expected: float  # closed-form value
     estimate: float  # stencil value
+    floor: float  # error the stencil is expected to make, relative like residual
 
 
 def finite_difference_check(n: int, x: float, h: float, tol: float) -> FiniteDifferenceResult:
@@ -113,6 +119,13 @@ def finite_difference_check(n: int, x: float, h: float, tol: float) -> FiniteDif
 
     Supports 1 <= n <= 6.  The stencil must stay strictly right of the pole
     at t = 1, so x - m*h > 1 is required (m is the stencil half-width).
+
+    The result also carries the error floor of the stencil at this step,
+    relative to |f^(n)(x)| like the residual: truncation |C h^2 f^(n+2)(x)|,
+    with C = sum_j w_j j^(n+2) / (n+2)! the first moment the weights leave
+    unmatched and f^(n+2) from the closed form, plus the round-off
+    eps * sum_j |w_j f(x + j h)| / h^n of summing the stencil in double
+    precision.  A residual below tol needs a floor below tol.
     """
     if not 1 <= n <= MAX_CHECK_ORDER:
         raise ValueError("n must be in [1, %d]" % MAX_CHECK_ORDER)
@@ -130,14 +143,20 @@ def finite_difference_check(n: int, x: float, h: float, tol: float) -> FiniteDif
         )
     if h ** n == 0:
         raise ValueError("step h=%g too small: h**%d underflows to 0" % (h, n))
-    expansion = reciprocal_log_derivative_coeffs(n, stirling_triangle(n))
-    expected = evaluate_expansion(expansion, x)
-    estimate = math.fsum(
-        float(w) / math.log(x + j * h) for j, w in zip(offsets, weights)
-    ) / h ** n
+    expected = evaluate_expansion(expansion_from_row(n, stirling_row(n)), x)
+    terms = [float(w) / math.log(x + j * h) for j, w in zip(offsets, weights)]
+    estimate = math.fsum(terms) / h ** n
     residual = abs(estimate - expected) / abs(expected)
     if not math.isfinite(residual):
         raise ValueError("step h=%g too small: the stencil estimate is %r" % (h, estimate))
+    moment = sum(w * Fraction(j) ** (n + 2) for j, w in zip(offsets, weights))
+    higher = evaluate_expansion(expansion_from_row(n + 2, stirling_row(n + 2)), x)
+    truncation = abs(float(moment / math.factorial(n + 2)) * h * h * higher)
+    roundoff = sys.float_info.epsilon * math.fsum(map(abs, terms)) / h ** n
     return FiniteDifferenceResult(
-        passed=residual <= tol, residual=residual, expected=expected, estimate=estimate
+        passed=residual <= tol,
+        residual=residual,
+        expected=expected,
+        estimate=estimate,
+        floor=(truncation + roundoff) / abs(expected),
     )

@@ -8,29 +8,28 @@ route registry :data:`gregory.bernoulli.ROUTES`.
 Output contract: ``--format frac`` prints human-readable text with exact
 fractions; ``--format json`` emits one object per record with the keys
 kind, n, k, method, value, decimal (plus kind-specific extras); ``--format
-csv`` emits the same values with those six columns.  Exit codes: 0 success,
-1 usage or domain error, 2 verification failure.  A reader that closes the
+csv`` emits the same values with those six columns.  Records are written as
+they are made, so a row command holds one row at a time.  Exact values are
+printed in full however many digits they have.  Exit codes: 0 success, 1
+usage or domain error, 2 verification failure.  A reader that closes the
 output pipe early ends the command quietly with exit 1.
 """
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import statistics
 import sys
 import time
-from csv import writer as csv_writer
 from dataclasses import dataclass, field
 
-from .asequence import ASequence, probe_row
+from .asequence import a_row, a_rows, probe_a_row
 from .bernoulli import ROUTES, bernoulli2_report, bernoulli2_values
-from .calculus import (
-    evaluate_expansion,
-    finite_difference_check,
-    reciprocal_log_derivative_coeffs,
-)
+from .calculus import evaluate_expansion, expansion_from_row, finite_difference_check
 from .exact import decimal_string, format_rational, harmonic
-from .stirling import stirling_triangle
+from .stirling import stirling_row
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,23 +73,46 @@ def _record_dict(rec):
     return d
 
 
+def _csv_field(value):
+    """A field as csv.writer's default dialect writes it: quoted only when it
+    holds a comma, a quote, CR or LF, with each inner quote doubled."""
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
+def _csv_line(fields):
+    return ",".join(map(_csv_field, fields)) + "\n"
+
+
 def emit(records, fmt, out=None):
+    """Write each record of an iterable as soon as it is made.
+
+    The JSON text is the one ``json.dump(list, indent=2)`` gives for the whole
+    list, the CSV text the one ``csv.writer`` gives with ``lineterminator="\\n"``.
+    """
     out = out or sys.stdout
     if fmt == "json":
-        json.dump([_record_dict(r) for r in records], out, indent=2)
-        out.write("\n")
+        empty = True
+        for r in records:
+            text = json.dumps(_record_dict(r), indent=2).replace("\n", "\n  ")
+            out.write(("[\n  " if empty else ",\n  ") + text)
+            empty = False
+        out.write("[]\n" if empty else "\n]\n")
     elif fmt == "csv":
-        w = csv_writer(out, lineterminator="\n")
-        w.writerow(["kind", "n", "k", "method", "value", "decimal"])
+        out.write(_csv_line(["kind", "n", "k", "method", "value", "decimal"]))
         for r in records:
             n = r.indices[0] if r.indices else ""
             if isinstance(r.value, list):
                 keys = r.row_keys if r.row_keys is not None else range(len(r.value))
-                for kk, v in zip(keys, r.value):
-                    w.writerow([r.kind, n, kk, r.method or "", v, r.decimal or ""])
+                out.write("".join(
+                    _csv_line([r.kind, n, kk, r.method or "", v, r.decimal or ""])
+                    for kk, v in zip(keys, r.value)
+                ))
             else:
                 k = r.indices[1] if len(r.indices) > 1 else ""
-                w.writerow([r.kind, n, k, r.method or "", r.value, r.decimal or ""])
+                out.write(_csv_line([r.kind, n, k, r.method or "", r.value, r.decimal or ""]))
     else:
         raise AssertionError("emit() only handles machine formats")
 
@@ -104,9 +126,9 @@ def _maybe_decimal(value, digits):
 
 def cmd_stirling1(args):
     n = args.n
-    triangle = stirling_triangle(n)
+    s_row = stirling_row(n)
     if args.k is None:
-        row = [str(v) for v in triangle.row(n)]
+        row = [str(v) for v in s_row]
         rec = OutputRecord("stirling1", [n], row, row_keys=list(range(n + 1)))
         if args.format == "frac":
             print(" ".join(row))
@@ -115,7 +137,7 @@ def cmd_stirling1(args):
         return EXIT_OK
     if not 0 <= args.k <= n:
         raise CommandError("k=%d out of range for n=%d (need 0 <= k <= n)" % (args.k, n))
-    value = str(triangle.value(n, args.k))
+    value = str(s_row[args.k])
     rec = OutputRecord("stirling1", [n, args.k], value)
     if args.format == "frac":
         print(value)
@@ -192,7 +214,7 @@ def cmd_ank(args):
         raise CommandError("n must be >= 1")
     if not 2 <= k <= n + 1:
         raise CommandError("k=%d out of range for n=%d (need 2 <= k <= n+1)" % (k, n))
-    value = ASequence.build(n).value(n, k)
+    value = a_row(n, stirling_row(n))[k - 2]
     if args.format == "frac":
         print(value)
     else:
@@ -215,7 +237,7 @@ def cmd_crosscheck(args):
             print(_agreement_line(r.n, {m: r.value(m) for m in METHODS}, r.agree))
         print(summary)
     else:
-        records = [
+        records = (
             OutputRecord(
                 "crosscheck",
                 [r.n],
@@ -225,66 +247,74 @@ def cmd_crosscheck(args):
             )
             for r in reports
             for method in METHODS
-        ]
-        records.append(OutputRecord("crosscheck", [], summary, method="summary"))
-        emit(records, args.format)
+        )
+        summary_record = OutputRecord("crosscheck", [], summary, method="summary")
+        emit(itertools.chain(records, [summary_record]), args.format)
     return EXIT_OK if all_agree else EXIT_VERIFY
 
 
 def cmd_probe(args):
     if args.max_n < 2:
         raise CommandError("--max-n must be >= 2")
-    a = ASequence.build(args.max_n)
-    reports = []
-    previous = None
-    for n in range(1, args.max_n + 1):
-        previous = probe_row(n, a, previous)
-        reports.append(previous)
-    unimodal = sum(1 for r in reports if r.is_unimodal)
-    increasing = all(r.increasing_in_n_ok for r in reports)
+    unimodal = 0
+    not_increasing = []
+
+    def reports():
+        # Each a-row is probed and written as it streams; only row n-1 is kept.
+        nonlocal unimodal
+        previous = None
+        for n, row in enumerate(a_rows(args.max_n), 1):
+            r = probe_a_row(n, row, previous)
+            previous = r.row
+            unimodal += r.is_unimodal
+            if not r.increasing_in_n_ok:
+                not_increasing.append(str(n))
+            yield r
+
+    def summary():
+        return "unimodal rows: %d/%d" % (unimodal, args.max_n)
+
     if args.format == "frac":
-        for r in reports:
+        for r in reports():
             print(
                 "n=%d row=%s peaks=%s unimodal=%s increasing=%s"
                 % (
                     r.n,
-                    list(r.row),
+                    r.row,
                     r.peak_indices,
                     "yes" if r.is_unimodal else "NO",
                     "ok" if r.increasing_in_n_ok else "NO",
                 )
             )
-        print("unimodal rows: %d/%d" % (unimodal, len(reports)))
+        print(summary())
         print(
             "increasing_in_n: %s"
-            % ("OK" if increasing else "FAIL at n=%s"
-               % ",".join(str(r.n) for r in reports if not r.increasing_in_n_ok))
+            % ("FAIL at n=%s" % ",".join(not_increasing) if not_increasing else "OK")
         )
     else:
-        records = [
-            OutputRecord(
-                "probe",
-                [r.n],
-                [str(v) for v in r.row],
-                row_keys=list(range(2, r.n + 2)),
-                extra={
-                    "peaks": r.peak_indices,
-                    "unimodal": r.is_unimodal,
-                    "increasing_in_n": r.increasing_in_n_ok,
-                },
-            )
-            for r in reports
-        ]
-        records.append(
-            OutputRecord(
+
+        def records():
+            for r in reports():
+                yield OutputRecord(
+                    "probe",
+                    [r.n],
+                    [str(v) for v in r.row],
+                    row_keys=range(2, r.n + 2),
+                    extra={
+                        "peaks": r.peak_indices,
+                        "unimodal": r.is_unimodal,
+                        "increasing_in_n": r.increasing_in_n_ok,
+                    },
+                )
+            yield OutputRecord(
                 "probe",
                 [],
-                "unimodal rows: %d/%d" % (unimodal, len(reports)),
+                summary(),
                 method="summary",
-                extra={"increasing_in_n": increasing},
+                extra={"increasing_in_n": not not_increasing},
             )
-        )
-        emit(records, args.format)
+
+        emit(records(), args.format)
     return EXIT_OK
 
 
@@ -305,10 +335,10 @@ def cmd_bench(args):
         values_by_method[method] = values
     agree = len({tuple(v) for v in values_by_method.values()}) == 1
     if args.format == "csv":
-        w = csv_writer(sys.stdout, lineterminator="\n")
-        w.writerow(["backend", "method", "max_n", "repeat", "median_s"])
+        sys.stdout.write(_csv_line(["backend", "method", "max_n", "repeat", "median_s"]))
         for method, median in rows:
-            w.writerow([BACKEND, method, args.max_n, args.repeat, "%.6f" % median])
+            fields = [BACKEND, method, args.max_n, args.repeat, "%.6f" % median]
+            sys.stdout.write(_csv_line(fields))
     elif args.format == "json":
         emit(
             [
@@ -335,7 +365,7 @@ def cmd_deriv(args):
     n = args.n
     if n < 1:
         raise CommandError("n must be >= 1")
-    expansion = reciprocal_log_derivative_coeffs(n, stirling_triangle(n))
+    expansion = expansion_from_row(n, stirling_row(n))
     coeff_text = ", ".join("k=%d: %d" % (k, c) for k, c in expansion.coeffs)
     extra = {}
     lines = [coeff_text]
@@ -351,13 +381,14 @@ def cmd_deriv(args):
         h, tol = args.check
         result = finite_difference_check(n, args.x, h, tol)
         lines.append(
-            "check: residual=%.3e tol=%g %s"
-            % (result.residual, tol, "PASS" if result.passed else "FAIL")
+            "check: residual=%.3e floor=%.3e tol=%g %s"
+            % (result.residual, result.floor, tol, "PASS" if result.passed else "FAIL")
         )
         extra["check"] = {
             "h": h,
             "tol": tol,
             "residual": result.residual,
+            "floor": result.floor,
             "passed": result.passed,
         }
         code = EXIT_OK if result.passed else EXIT_VERIFY
@@ -452,11 +483,30 @@ def build_parser():
     return parser
 
 
+@contextlib.contextmanager
+def _exact_int_rendering():
+    """Lift the interpreter's cap on int-to-text digits (4,300 by default) for
+    the block, so that exact values print in full; restore it afterwards.
+    Interpreters before 3.10.7 have no cap."""
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is None:
+        yield
+        return
+    cap = sys.get_int_max_str_digits()
+    set_digits(0)
+    try:
+        yield
+    finally:
+        set_digits(cap)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
+        # argv is parsed under the cap; only the command's output is lifted.
         args = parser.parse_args(argv)
-        return args.func(args)
+        with _exact_int_rendering():
+            return args.func(args)
     except CommandError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -36,7 +36,8 @@ class TruncatedSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        # A Fraction is immutable, so one passed in is kept, not rebuilt.
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if not coeffs:
             raise ValueError("a series needs at least the constant term")
         object.__setattr__(self, "coeffs", coeffs)

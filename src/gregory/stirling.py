@@ -15,6 +15,7 @@ from .exact import harmonic
 __all__ = [
     "StirlingTriangle",
     "stirling_triangle",
+    "stirling_row",
     "stirling_nested_sum",
     "stirling_nested_sum_direct",
     "stirling_column_recurrence",
@@ -59,7 +60,17 @@ class StirlingTriangle:
 
 def stirling_triangle(max_n: int) -> StirlingTriangle:
     """Build the signed triangle up to row max_n by the triangular recursion."""
-    return StirlingTriangle(_kernels.stirling_rows(max_n))
+    return StirlingTriangle(list(_kernels.stirling_rows(max_n)))
+
+
+def stirling_row(n: int):
+    """Row n alone as a tuple (s(n,0), ..., s(n,n)), in O(n) memory.
+
+    The row is the last one of the recursion's stream; no earlier row is kept.
+    """
+    for row in _kernels.stirling_rows(n):
+        pass
+    return tuple(row)
 
 
 def stirling_nested_sum(n: int, k: int) -> int:

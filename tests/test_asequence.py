@@ -9,6 +9,8 @@ from gregory import (
     a_difference_identity_check,
     a_from_stirling,
     a_nested_sum,
+    a_rows,
+    probe_a_row,
     probe_row,
     stirling_triangle,
 )
@@ -22,6 +24,13 @@ def triangle():
 @pytest.fixture(scope="module")
 def a_table(triangle):
     return ASequence.from_triangle(triangle, 30)
+
+
+def test_row_stream_matches_table_and_probe(a_table):
+    rows = list(a_rows(30))
+    assert [tuple(r) for r in rows] == [a_table.row(n) for n in range(1, 31)]
+    for n in range(2, 31):
+        assert probe_a_row(n, rows[n - 1], rows[n - 2]) == probe_row(n, a_table)
 
 
 def test_nested_sum_examples():

@@ -1,5 +1,6 @@
 """Bernoulli numbers of the second kind: the four methods and the report."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -98,21 +99,28 @@ def test_report_domain():
         bernoulli2_report(1)
 
 
-def test_single_value_reads_b_n_alone_from_tables_built_to_n(monkeypatch):
-    # Routes resolve their formulas by module-level name, so rebinding one
-    # sees every call.
-    calls = []
-    for name in ("bernoulli2_nemes", "bernoulli2_theorem", "bernoulli2_ank"):
-        real = getattr(bernoulli, name)
-        monkeypatch.setattr(
-            bernoulli,
-            name,
-            lambda n, table, real=real: calls.append((n, table.max_n)) or real(n, table),
-        )
-    for method, table_max_n in (("nemes", 9), ("theorem", 8), ("ank", 9)):
-        calls.clear()
-        assert bernoulli.bernoulli2_values(method, 9, start=9) == [F(8183, 1036800)]
-        assert calls == [(9, table_max_n)]
+def test_single_value_holds_rows_not_tables():
+    # b_300 alone: a route holds at most two rows, never a triangle or table.
+    tracemalloc.start()
+    try:
+        stirling_triangle(300)
+        one_triangle = tracemalloc.get_traced_memory()[1]
+        for method in bernoulli.ROUTES:
+            tracemalloc.reset_peak()
+            assert len(bernoulli.bernoulli2_values(method, 300, start=300)) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+            assert peak < one_triangle / 8, (method, peak, one_triangle)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("method", sorted(bernoulli.ROUTES))
+def test_stream_rejects_start_below_stated_domain(method):
+    min_n = bernoulli.ROUTES[method].min_n
+    values = bernoulli.bernoulli2_values(method, 6, start=min_n)
+    assert values == bernoulli2_series(6)[min_n:]
+    with pytest.raises(ValueError):
+        bernoulli.bernoulli2_values(method, 6, start=min_n - 1)
 
 
 def test_method_report_flags_disagreement():

@@ -3,9 +3,12 @@
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import gregory.cli as cli
 from gregory import MethodReport
@@ -194,6 +197,20 @@ def test_deriv_check_requires_x(capsys):
     assert code == 1
 
 
+def test_deriv_check_reports_the_stencil_error_floor(capsys):
+    # An order-2 stencil for f^(6) in double precision cannot reach 1e-4 at
+    # h = 1e-3: the floor says so, and the exit code stays 2.
+    argv = ["deriv", "6", "3.0", "--check", "1e-3", "1e-4"]
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 2
+    check = json.loads(out)[0]["check"]
+    assert not check["passed"]
+    assert check["floor"] > check["tol"] == 1e-4
+    code, out, _ = run(argv, capsys)
+    assert code == 2
+    assert "check: residual=9.638e+02 floor=2.294e+03 tol=0.0001 FAIL" in out
+
+
 def test_deriv_json_keeps_coefficients_beside_value_at_x(capsys):
     code, out, _ = run(["deriv", "2", "3.0", "--format", "json"], capsys)
     assert code == 0
@@ -307,7 +324,7 @@ def _reject_constant(name):
     raise ValueError("non-standard JSON constant %s" % name)
 
 
-@pytest.mark.parametrize("argv", [
+EVERY_SUBCOMMAND = [
     ["stirling1", "5"],
     ["stirling1", "5", "2"],
     ["bernoulli2", "6", "--method", "all", "--digits", "8"],
@@ -318,15 +335,71 @@ def _reject_constant(name):
     ["bench", "--max-n", "3"],
     ["deriv", "2", "3.0"],
     ["deriv", "3", "2.0", "--check", "1e-3", "1e-4"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND)
 def test_json_output_is_strict_and_exact(argv, capsys):
     code, out, _ = run(argv + ["--format", "json"], capsys)
     assert code == 0
     records = json.loads(out, parse_constant=_reject_constant)
+    # Written record by record, the text is still what json.dump gives.
+    assert out == json.dumps(records, indent=2) + "\n"
     for r in records:
         assert {"kind", "n", "k", "method", "value", "decimal"} <= set(r)
         values = r["value"] if isinstance(r["value"], list) else [r["value"]]
         assert all(isinstance(v, str) for v in values)
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND)
+def test_csv_output_survives_reader_writer_round_trip(argv, capsys):
+    code, out, _ = run(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    again = io.StringIO()
+    csv.writer(again, lineterminator="\n").writerows(csv.reader(io.StringIO(out)))
+    assert again.getvalue() == out
+
+
+def test_emit_json_of_no_records_is_an_empty_list():
+    out = io.StringIO()
+    cli.emit([], "json", out)
+    assert out.getvalue() == "[]\n"
+
+
+# Rows always have five or six fields; csv.writer writes a lone empty field as
+# "" so that the row is not blank, which no row of ours needs.
+@given(st.lists(st.text(), min_size=2, max_size=6))
+@example(["crosscheck", "", "", "summary", "DISAGREE at n=3,5", ""])
+def test_csv_quoter_matches_csv_writer(fields):
+    # With CR and LF in the line terminator, csv.writer quotes a field holding
+    # either, as the quoter always does.
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\r\n").writerow(fields)
+    assert cli._csv_line(fields) == expected.getvalue()[:-2] + "\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # b_4 = -19/720 = -0.026388..., rounded at place 5000.
+    (["bernoulli2", "4", "--digits", "5000"], "-19/720 -0.0263" + "8" * 4995 + "9\n"),
+    # H(3) = 11/6 = 1.8333...
+    (["harmonic", "3", "--digits", "4400", "--format", "json"], "1.8" + "3" * 4399),
+], ids=["bernoulli2-5000-places", "harmonic-4400-places-json"])
+def test_exact_output_past_the_int_digit_cap(argv, expected, capsys):
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    if "json" in argv:
+        assert json.loads(out)[0]["decimal"] == expected
+    else:
+        assert out == expected
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+
+def test_interpreter_without_int_digit_cap(capsys, monkeypatch):
+    # Python before 3.10.7 has no cap and no function to set it.
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    code, out, _ = run(["bernoulli2", "4", "--digits", "10"], capsys)
+    assert (code, out) == (0, "-19/720 -0.0263888889\n")
 
 
 def test_json_value_round_trips(capsys):

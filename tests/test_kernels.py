@@ -12,7 +12,7 @@ from gregory import _kernels
 
 def test_stirling_rows_match_sympy():
     numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
-    rows = _kernels.stirling_rows(60)
+    rows = list(_kernels.stirling_rows(60))
     expected = [
         [int(numbers.stirling(n, k, kind=1, signed=True)) for k in range(n + 1)]
         for n in range(61)

@@ -12,6 +12,7 @@ from gregory import (
     stirling_column_recurrence,
     stirling_nested_sum,
     stirling_nested_sum_direct,
+    stirling_row,
     stirling_triangle,
 )
 
@@ -37,6 +38,12 @@ def test_triangle_bounds(triangle):
         triangle.value(4, 5)
     with pytest.raises(ValueError):
         stirling_triangle(-1)
+
+
+def test_row_alone_matches_triangle(triangle):
+    assert [stirling_row(n) for n in range(41)] == [triangle.row(n) for n in range(41)]
+    with pytest.raises(ValueError):
+        stirling_row(-1)
 
 
 def test_nested_sum_examples():
