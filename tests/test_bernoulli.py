@@ -99,6 +99,31 @@ def test_report_domain():
         bernoulli2_report(1)
 
 
+def test_single_value_reads_b_n_alone_from_tables_built_to_n(monkeypatch):
+    # The route streams resolve their row formulas and the kernel's row
+    # generator by module-level name, so rebinding them sees every call.
+    calls, built_to = [], []
+    for name in ("_nemes", "_theorem", "_ank"):
+        real = getattr(bernoulli, name)
+        monkeypatch.setattr(
+            bernoulli,
+            name,
+            lambda n, *rows, real=real: calls.append(n) or real(n, *rows),
+        )
+    real_rows = bernoulli._kernels.stirling_rows
+    monkeypatch.setattr(
+        bernoulli._kernels,
+        "stirling_rows",
+        lambda max_n: built_to.append(max_n) or real_rows(max_n),
+    )
+    for method, rows_max_n in (("nemes", 9), ("theorem", 8), ("ank", 9)):
+        calls.clear()
+        built_to.clear()
+        assert bernoulli.bernoulli2_values(method, 9, start=9) == [F(8183, 1036800)]
+        assert calls == [9]
+        assert built_to == [rows_max_n]
+
+
 def test_single_value_holds_rows_not_tables():
     # b_300 alone: a route holds at most two rows, never a triangle or table.
     tracemalloc.start()
