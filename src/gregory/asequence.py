@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import _kernels
-from .stirling import StirlingTriangle
+from .stirling import StirlingTriangle, _RowTable
 
 __all__ = [
     "ASequence",
@@ -32,23 +32,19 @@ __all__ = [
 ]
 
 
-class ASequence:
-    """Table of a(n,k) values for 1 <= n <= max_n, 2 <= k <= n + 1."""
+class ASequence(_RowTable):
+    """Table of a(n,k) values for 1 <= n <= max_n, 2 <= k <= n + 1; ``row(n)``
+    is (a(n,2), ..., a(n,n+1))."""
 
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows):
-        self._rows = rows
+    _FIRST_N = 1
+    _FIRST_K = 2
+    __slots__ = ()
 
     @classmethod
     def from_triangle(cls, triangle: StirlingTriangle, max_n: int) -> "ASequence":
         """Fill the table through row max_n via the Stirling relation."""
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
-        if triangle.max_n < max_n:
-            raise ValueError(
-                "triangle filled to row %d, need row %d" % (triangle.max_n, max_n)
-            )
         return cls([a_row(n, triangle.row(n)) for n in range(1, max_n + 1)])
 
     @classmethod
@@ -56,29 +52,6 @@ class ASequence:
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
         return cls(list(a_rows(max_n)))
-
-    @property
-    def max_n(self) -> int:
-        return len(self._rows)
-
-    def value(self, n: int, k: int) -> int:
-        self._check(n, k)
-        return self._rows[n - 1][k - 2]
-
-    def row(self, n: int):
-        """Row n as a tuple (a(n,2), ..., a(n,n+1))."""
-        if not 1 <= n <= self.max_n:
-            raise ValueError("row %d not in table (max %d)" % (n, self.max_n))
-        return tuple(self._rows[n - 1])
-
-    def _check(self, n, k):
-        if not 1 <= n <= self.max_n:
-            raise ValueError("row %d not in table (max %d)" % (n, self.max_n))
-        if not 2 <= k <= n + 1:
-            raise ValueError("need 2 <= k <= n+1, got n=%d k=%d" % (n, k))
-
-    def __repr__(self):
-        return "ASequence(max_n=%d)" % self.max_n
 
 
 def a_row(n: int, s_row) -> list:
@@ -117,8 +90,6 @@ def a_nested_sum(n: int, k: int) -> int:
 def a_from_stirling(n: int, k: int, triangle: StirlingTriangle) -> int:
     """a(n,k) = (-1)^(n+k-1) (k-1)! s(n,k-1) (production route)."""
     _check_indices(n, k)
-    if triangle.max_n < n:
-        raise ValueError("triangle filled to row %d, need row %d" % (triangle.max_n, n))
     return (-1) ** (n + k - 1) * factorial(k - 1) * triangle.value(n, k - 1)
 
 
@@ -132,8 +103,6 @@ def a_difference_identity_check(n: int, k: int, triangle: StirlingTriangle) -> b
         raise ValueError("n must be >= 2")
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n, got n=%d k=%d" % (n, k))
-    if triangle.max_n < n:
-        raise ValueError("triangle filled to row %d, need row %d" % (triangle.max_n, n))
     lhs = a_from_stirling(n, k, triangle) - n * a_from_stirling(n - 1, k, triangle)
     rhs = (-1) ** (n + k - 1) * factorial(k - 1) * (
         triangle.value(n - 1, k - 1) + triangle.value(n - 1, k - 2)

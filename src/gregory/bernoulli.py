@@ -74,8 +74,6 @@ def bernoulli2_theorem(n: int, triangle: StirlingTriangle) -> Fraction:
     """b_n from row n-1 of the triangle with weights (-1)^k / ((k+1)(k+2))."""
     if n < 2:
         raise ValueError("this formula is stated for n >= 2")
-    if triangle.max_n < n - 1:
-        raise ValueError("triangle filled to row %d, need row %d" % (triangle.max_n, n - 1))
     return _theorem(n, triangle.row(n - 1))
 
 
@@ -83,8 +81,6 @@ def bernoulli2_nemes(n: int, triangle: StirlingTriangle) -> Fraction:
     """b_n from row n of the triangle with weights 1/(k+1); valid for n >= 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if triangle.max_n < n:
-        raise ValueError("triangle filled to row %d, need row %d" % (triangle.max_n, n))
     return _nemes(n, triangle.row(n))
 
 
@@ -92,8 +88,6 @@ def bernoulli2_ank(n: int, a: ASequence) -> Fraction:
     """b_n from first differences of the a(n,k) table; valid for n >= 2."""
     if n < 2:
         raise ValueError("this formula is stated for n >= 2")
-    if a.max_n < n:
-        raise ValueError("a-table filled to row %d, need row %d" % (a.max_n, n))
     return _ank(n, a.row(n), a.row(n - 1))
 
 
@@ -176,12 +170,12 @@ class MethodReport:
         return getattr(self, "by_" + method)
 
 
-def bernoulli2_report(max_n: int):
-    """One MethodReport per n in [2, max_n]; each route streams its own rows."""
+def bernoulli2_report(max_n: int, start: int = 2):
+    """One MethodReport per n in [start, max_n]; each route streams its own rows."""
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
-    columns = {method: bernoulli2_values(method, max_n) for method in ROUTES}
+    columns = {method: bernoulli2_values(method, max_n, start) for method in ROUTES}
     return [
-        MethodReport.gather(n, **{"by_" + m: values[n - 2] for m, values in columns.items()})
-        for n in range(2, max_n + 1)
+        MethodReport.gather(n, **{"by_" + m: values[n - start] for m, values in columns.items()})
+        for n in range(start, max_n + 1)
     ]

@@ -43,8 +43,6 @@ def reciprocal_log_derivative_coeffs(n: int, triangle: StirlingTriangle) -> Deri
     """Exact expansion coefficients of the n-th derivative of 1/ln x."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if triangle.max_n < n:
-        raise ValueError("triangle filled to row %d, need row %d" % (triangle.max_n, n))
     return expansion_from_row(n, triangle.row(n))
 
 

@@ -126,6 +126,8 @@ def _maybe_decimal(value, digits):
 
 def cmd_stirling1(args):
     n = args.n
+    if n < 0:
+        raise CommandError("n must be >= 0")
     s_row = stirling_row(n)
     if args.k is None:
         row = [str(v) for v in s_row]
@@ -146,13 +148,32 @@ def cmd_stirling1(args):
     return EXIT_OK
 
 
-def _agreement_line(n, values, agree):
-    """'n=N <method>=<b_n> ... agree=yes|NO' over the methods in ``values``."""
-    return "n=%d %s agree=%s" % (
-        n,
-        " ".join("%s=%s" % (m, format_rational(v)) for m, v in values.items()),
-        "yes" if agree else "NO",
-    )
+def _write_reports(reports, kind, args, summary=None):
+    """Write MethodReports: in frac one line 'n=N <method>=<b_n> ...
+    agree=yes|NO' per n, otherwise one record per route and n; then the
+    summary, if any.  Exit 0 when every n agrees, else 2."""
+    if args.format == "frac":
+        for r in reports:
+            values = " ".join("%s=%s" % (m, format_rational(r.value(m))) for m in METHODS)
+            print("n=%d %s agree=%s" % (r.n, values, "yes" if r.agree else "NO"))
+        if summary is not None:
+            print(summary)
+    else:
+        records = (
+            OutputRecord(
+                kind,
+                [r.n],
+                format_rational(r.value(method)),
+                decimal=_maybe_decimal(r.value(method), args.digits),
+                method=method,
+                extra={"agree": r.agree},
+            )
+            for r in reports
+            for method in METHODS
+        )
+        tail = [] if summary is None else [OutputRecord(kind, [], summary, method="summary")]
+        emit(itertools.chain(records, tail), args.format)
+    return EXIT_OK if all(r.agree for r in reports) else EXIT_VERIFY
 
 
 def cmd_bernoulli2(args):
@@ -165,26 +186,9 @@ def cmd_bernoulli2(args):
             "method %r is stated for n >= 2 only; use series or nemes for b_0, b_1"
             % args.method
         )
-    values = {m: bernoulli2_values(m, n, start=n)[0] for m in methods}
     if args.method == "all":
-        agree = len(set(values.values())) == 1
-        if args.format == "frac":
-            print(_agreement_line(n, values, agree))
-        else:
-            records = [
-                OutputRecord(
-                    "bernoulli2",
-                    [n],
-                    format_rational(values[m]),
-                    decimal=_maybe_decimal(values[m], args.digits),
-                    method=m,
-                    extra={"agree": agree},
-                )
-                for m in METHODS
-            ]
-            emit(records, args.format)
-        return EXIT_OK if agree else EXIT_VERIFY
-    value = values[args.method]
+        return _write_reports(bernoulli2_report(n, start=n), "bernoulli2", args)
+    value = bernoulli2_values(args.method, n, start=n)[0]
     dec = _maybe_decimal(value, args.digits)
     if args.format == "frac":
         print(format_rational(value) if dec is None else "%s %s" % (format_rational(value), dec))
@@ -226,31 +230,9 @@ def cmd_crosscheck(args):
     if args.max_n < 2:
         raise CommandError("--max-n must be >= 2")
     reports = bernoulli2_report(args.max_n)
-    all_agree = all(r.agree for r in reports)
-    summary = (
-        "ALL AGREE [2..%d]" % args.max_n
-        if all_agree
-        else "DISAGREE at n=%s" % ",".join(str(r.n) for r in reports if not r.agree)
-    )
-    if args.format == "frac":
-        for r in reports:
-            print(_agreement_line(r.n, {m: r.value(m) for m in METHODS}, r.agree))
-        print(summary)
-    else:
-        records = (
-            OutputRecord(
-                "crosscheck",
-                [r.n],
-                format_rational(r.value(method)),
-                method=method,
-                extra={"agree": r.agree},
-            )
-            for r in reports
-            for method in METHODS
-        )
-        summary_record = OutputRecord("crosscheck", [], summary, method="summary")
-        emit(itertools.chain(records, [summary_record]), args.format)
-    return EXIT_OK if all_agree else EXIT_VERIFY
+    disagree = ",".join(str(r.n) for r in reports if not r.agree)
+    summary = "DISAGREE at n=%s" % disagree if disagree else "ALL AGREE [2..%d]" % args.max_n
+    return _write_reports(reports, "crosscheck", args, summary)
 
 
 def cmd_probe(args):
@@ -422,7 +404,9 @@ def build_parser():
         default="frac",
         help="output format (default: frac)",
     )
-    common.add_argument(
+    # Only the commands that print rationals take --digits.
+    digits = argparse.ArgumentParser(add_help=False)
+    digits.add_argument(
         "--digits",
         type=int,
         metavar="D",
@@ -441,12 +425,14 @@ def build_parser():
     p.add_argument("k", type=int, nargs="?")
     p.set_defaults(func=cmd_stirling1)
 
-    p = sub.add_parser("bernoulli2", parents=[common], help="Bernoulli number of the second kind b_n")
+    p = sub.add_parser(
+        "bernoulli2", parents=[common, digits], help="Bernoulli number of the second kind b_n"
+    )
     p.add_argument("n", type=int)
     p.add_argument("--method", choices=METHODS + ("all",), default="series")
     p.set_defaults(func=cmd_bernoulli2)
 
-    p = sub.add_parser("harmonic", parents=[common], help="harmonic number H(n)")
+    p = sub.add_parser("harmonic", parents=[common, digits], help="harmonic number H(n)")
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_harmonic)
 
@@ -455,7 +441,9 @@ def build_parser():
     p.add_argument("k", type=int)
     p.set_defaults(func=cmd_ank)
 
-    p = sub.add_parser("crosscheck", parents=[common], help="verify all four b_n methods agree")
+    p = sub.add_parser(
+        "crosscheck", parents=[common, digits], help="verify all four b_n methods agree"
+    )
     p.add_argument("--max-n", type=int, required=True)
     p.set_defaults(func=cmd_crosscheck)
 

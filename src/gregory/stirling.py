@@ -24,13 +24,18 @@ __all__ = [
 ]
 
 
-class StirlingTriangle:
-    """Memoized table rows[n][k] = s(n,k) for 0 <= k <= n <= max_n.
+class _RowTable:
+    """Rows _FIRST_N..max_n of a triangular table, row n holding the entries
+    k = _FIRST_K, _FIRST_K + 1, ...; ``value`` and ``row`` make the only
+    bounds checks of a table read.
 
-    Rows are filled once at construction and never mutated afterwards, so a
-    built triangle can be shared freely across threads.
+    ``_rows`` stays a plain list attribute, so that a profiler can swap in a
+    list that records which rows are read.  Rows are never mutated after
+    construction, so a built table can be shared freely across threads.
     """
 
+    _FIRST_N = 0
+    _FIRST_K = 0
     __slots__ = ("_rows",)
 
     def __init__(self, rows):
@@ -38,24 +43,36 @@ class StirlingTriangle:
 
     @property
     def max_n(self) -> int:
-        return len(self._rows) - 1
+        return self._FIRST_N + len(self._rows) - 1
+
+    def _stored(self, n):
+        if not self._FIRST_N <= n <= self.max_n:
+            raise ValueError("row %d not in table (rows %d..%d)" % (n, self._FIRST_N, self.max_n))
+        return self._rows[n - self._FIRST_N]
 
     def value(self, n: int, k: int) -> int:
-        """s(n,k); raises for indices outside the stored triangle."""
-        if not 0 <= n <= self.max_n:
-            raise ValueError("row %d not in triangle (max %d)" % (n, self.max_n))
-        if not 0 <= k <= n:
-            raise ValueError("need 0 <= k <= n, got n=%d k=%d" % (n, k))
-        return self._rows[n][k]
+        """Entry (n,k); raises for indices outside the stored table."""
+        row = self._stored(n)
+        if not self._FIRST_K <= k < self._FIRST_K + len(row):
+            raise ValueError(
+                "need %d <= k <= %d in row %d, got k=%d"
+                % (self._FIRST_K, self._FIRST_K + len(row) - 1, n, k)
+            )
+        return row[k - self._FIRST_K]
 
     def row(self, n: int):
-        """Row n as a tuple (s(n,0), ..., s(n,n))."""
-        if not 0 <= n <= self.max_n:
-            raise ValueError("row %d not in triangle (max %d)" % (n, self.max_n))
-        return tuple(self._rows[n])
+        """Row n as a tuple, from k = _FIRST_K on."""
+        return tuple(self._stored(n))
 
     def __repr__(self):
-        return "StirlingTriangle(max_n=%d)" % self.max_n
+        return "%s(max_n=%d)" % (type(self).__name__, self.max_n)
+
+
+class StirlingTriangle(_RowTable):
+    """Memoized table rows[n][k] = s(n,k) for 0 <= k <= n <= max_n; ``row(n)``
+    is (s(n,0), ..., s(n,n))."""
+
+    __slots__ = ()
 
 
 def stirling_triangle(max_n: int) -> StirlingTriangle:
@@ -116,8 +133,6 @@ def stirling_column_recurrence(n: int, k: int, triangle: StirlingTriangle) -> in
     """
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n, got n=%d k=%d" % (n, k))
-    if triangle.max_n < n - 1:
-        raise ValueError("triangle filled to row %d, need row %d" % (triangle.max_n, n - 1))
     total = Fraction(0)
     for m in range(k - 1, n):
         total += Fraction(
@@ -149,8 +164,6 @@ def harmonic_from_stirling(n: int, triangle: StirlingTriangle) -> Fraction:
     """H(n) recovered as (-1)^(n+1) s(n+1,2) / n!."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if triangle.max_n < n + 1:
-        raise ValueError("triangle filled to row %d, need row %d" % (triangle.max_n, n + 1))
     return Fraction((-1) ** (n + 1) * triangle.value(n + 1, 2), factorial(n))
 
 

@@ -9,11 +9,16 @@ from gregory import bernoulli
 from gregory import (
     ASequence,
     MethodReport,
+    a_difference_identity_check,
+    a_from_stirling,
     bernoulli2_ank,
     bernoulli2_nemes,
     bernoulli2_report,
     bernoulli2_series,
     bernoulli2_theorem,
+    harmonic_from_stirling,
+    reciprocal_log_derivative_coeffs,
+    stirling_column_recurrence,
     stirling_triangle,
 )
 
@@ -66,15 +71,36 @@ def test_ank_stated_domain(a_table):
         bernoulli2_ank(1, a_table)
 
 
-def test_table_too_small_rejected():
-    small_tri = stirling_triangle(3)
-    small_a = ASequence.from_triangle(small_tri, 3)
+# Each table reader with the rows it needs at n=5, read from a table built to
+# a given row.
+_READERS = {
+    "bernoulli2_theorem": (4, lambda m: bernoulli2_theorem(5, stirling_triangle(m))),
+    "bernoulli2_nemes": (5, lambda m: bernoulli2_nemes(5, stirling_triangle(m))),
+    "bernoulli2_ank": (5, lambda m: bernoulli2_ank(5, ASequence.build(m))),
+    "ASequence.from_triangle": (5, lambda m: ASequence.from_triangle(stirling_triangle(m), 5)),
+    "a_from_stirling": (5, lambda m: a_from_stirling(5, 3, stirling_triangle(m))),
+    "a_difference_identity_check": (
+        5,
+        lambda m: a_difference_identity_check(5, 3, stirling_triangle(m)),
+    ),
+    "reciprocal_log_derivative_coeffs": (
+        5,
+        lambda m: reciprocal_log_derivative_coeffs(5, stirling_triangle(m)),
+    ),
+    "stirling_column_recurrence": (
+        4,
+        lambda m: stirling_column_recurrence(5, 3, stirling_triangle(m)),
+    ),
+    "harmonic_from_stirling": (6, lambda m: harmonic_from_stirling(5, stirling_triangle(m))),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_table_too_small_rejected(reader):
+    needs, read = _READERS[reader]
+    read(needs)
     with pytest.raises(ValueError):
-        bernoulli2_theorem(5, small_tri)
-    with pytest.raises(ValueError):
-        bernoulli2_nemes(4, small_tri)
-    with pytest.raises(ValueError):
-        bernoulli2_ank(4, small_a)
+        read(needs - 1)
 
 
 def test_report_single_row():
@@ -92,6 +118,7 @@ def test_report_to_5():
     last = reports[-1]
     assert last.by_series == last.by_nemes == last.by_theorem == last.by_ank == F(3, 160)
     assert all(r.agree for r in reports)
+    assert bernoulli2_report(5, start=5) == reports[-1:]
 
 
 def test_report_domain():

@@ -2,9 +2,12 @@
 
 import math
 import random
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gregory import decimal_string, factorial, format_rational, harmonic, parse_rational
 
@@ -88,6 +91,29 @@ def test_format_uses_integer_string_for_integers():
 )
 def test_decimal_string_round_half_even(num, den, digits, expected):
     assert decimal_string(Fraction(num, den), digits) == expected
+
+
+@given(
+    st.integers(-10**30, 10**30),
+    st.integers(1, 10**15),
+    st.integers(0, 40),
+)
+@example(1, 8, 2)  # a tie, to the even neighbour
+@example(-5, 2, 0)
+@example(-1, 1000, 2)  # rounds to a zero without sign
+def test_decimal_string_matches_decimal_quantize(num, den, digits):
+    q = Fraction(num, den)
+    # A run of 0s or 9s in the expansion of p/q is shorter than q has digits,
+    # so with this many guard places the first rounding cannot make a tie.
+    guard = len(str(q.denominator)) + 2
+    with localcontext() as ctx:
+        ctx.prec = len(str(abs(q.numerator) // q.denominator)) + digits + guard
+        quotient = Decimal(q.numerator) / Decimal(q.denominator)
+        rounded = quotient.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_EVEN)
+    expected = format(rounded, "f")
+    if rounded == 0:
+        expected = expected.lstrip("-")
+    assert decimal_string(q, digits) == expected
 
 
 def test_decimal_string_rejects_negative_digits():

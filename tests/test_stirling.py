@@ -4,8 +4,13 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gregory import (
+    ASequence,
+    StirlingTriangle,
+    a_rows,
     harmonic,
     harmonic_from_stirling,
     stirling_closed_form,
@@ -38,6 +43,37 @@ def test_triangle_bounds(triangle):
         triangle.value(4, 5)
     with pytest.raises(ValueError):
         stirling_triangle(-1)
+
+
+_FAKE_ROWS = st.lists(st.lists(st.integers(), max_size=4), max_size=5)
+
+# (table, first n, first k, the rows it holds)
+_TABLES = st.one_of(
+    st.integers(0, 12).map(
+        lambda m: (stirling_triangle(m), 0, 0, [stirling_row(n) for n in range(m + 1)])
+    ),
+    st.integers(1, 12).map(lambda m: (ASequence.build(m), 1, 2, list(a_rows(m)))),
+    _FAKE_ROWS.map(lambda rows: (StirlingTriangle(rows), 0, 0, rows)),
+    _FAKE_ROWS.map(lambda rows: (ASequence(rows), 1, 2, rows)),
+)
+
+
+@given(_TABLES)
+def test_table_reads_inside_its_rows_and_rejects_just_outside(case):
+    table, first_n, first_k, rows = case
+    assert table.max_n == first_n + len(rows) - 1
+    for n, row in enumerate(rows, first_n):
+        assert table.row(n) == tuple(row)
+        for k, v in enumerate(row, first_k):
+            assert table.value(n, k) == v
+        for k in (first_k - 1, first_k + len(row)):
+            with pytest.raises(ValueError):
+                table.value(n, k)
+    for n in (first_n - 1, table.max_n + 1):
+        with pytest.raises(ValueError):
+            table.row(n)
+        with pytest.raises(ValueError):
+            table.value(n, first_k)
 
 
 def test_row_alone_matches_triangle(triangle):
