@@ -3,15 +3,19 @@
 a(n,k) is defined for n >= 1 and 2 <= k <= n + 1 by a(n,2) = (n-1)! and, for
 k >= 3, a(n,k) = (k-1)! (n-1)! times the (k-2)-fold nested reciprocal sum
 over strictly decreasing chains below n.  It collapses to the signed Stirling
-numbers through a(n,k) = (-1)^(n+k-1) (k-1)! s(n,k-1); that relation is the
-fast production route, while the nested sums stay around as the literal
-reference for small n.
+numbers through a(n,k) = (-1)^(n+k-1) (k-1)! s(n,k-1), and with the Stirling
+recursion that relation gives the row recursion
+a(n+1,k) = (k-1) a(n,k-1) + n a(n,k), which multiplies by small integers
+only.  The recursion builds whole tables (:func:`a_rows`); the relation gives
+one row from its Stirling row (:func:`a_row`); the nested sums stay around as
+the literal reference for small n.
 
 Empirically every row rises to a single (possibly flat) peak and then falls;
 that is only a conjecture, so :func:`probe_row` reports the row shape instead
 of asserting it.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -66,12 +70,26 @@ def a_row(n: int, s_row) -> list:
     return row
 
 
-def a_rows(max_n: int):
-    """Rows 1..max_n of the table, one at a time, each made from its Stirling
-    row as the recursion streams it; no earlier row is kept."""
-    s_rows = _kernels.stirling_rows(max_n)
-    next(s_rows)  # s(0,.) has no a-row
-    return (a_row(n, s_row) for n, s_row in enumerate(s_rows, 1))
+def a_rows(max_n: int, one=1):
+    """Rows 1..max_n of the table, one at a time, by the row recursion from
+    a(1,2) = ``one``; only the row being built and the one before it are held.
+
+    ``one`` sets the number type: ``Decimal(1)`` gives rows that print in
+    linear time, exact as long as the caller's decimal context neither rounds
+    nor overflows (:data:`gregory.exact.EXACT_DECIMAL`).  max_n is checked
+    when the function is called, not when the first row is taken.
+    """
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
+    rows = itertools.accumulate(range(1, max_n), _next_a_row, initial=[one])
+    return itertools.islice(rows, max_n)  # max_n = 0 takes not even the seed
+
+
+def _next_a_row(row, n):
+    """Row n+1 from row n: a(n+1,k) = (k-1) a(n,k-1) + n a(n,k), where
+    a(n,1) = a(n,n+2) = 0 leaves one term at each end."""
+    inner = [j * left + n * right for j, left, right in zip(range(2, n + 1), row, row[1:])]
+    return [n * row[0], *inner, (n + 1) * row[-1]]
 
 
 def a_nested_sum(n: int, k: int) -> int:

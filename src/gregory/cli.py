@@ -24,11 +24,12 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 
 from .asequence import a_row, a_rows, probe_a_row
 from .bernoulli import ROUTES, bernoulli2_report, bernoulli2_values
 from .calculus import evaluate_expansion, expansion_from_row, finite_difference_check
-from .exact import decimal_string, format_rational, harmonic
+from .exact import EXACT_DECIMAL, decimal_string, format_rational, harmonic
 from .stirling import stirling_row
 
 EXIT_OK = 0
@@ -105,9 +106,13 @@ def emit(records, fmt, out=None):
         for r in records:
             n = r.indices[0] if r.indices else ""
             if isinstance(r.value, list):
+                # kind,n,<k>,method,<value>,decimal: the fixed fields once.
+                head = _csv_field(r.kind) + "," + _csv_field(n) + ","
+                middle = "," + _csv_field(r.method or "") + ","
+                tail = "," + _csv_field(r.decimal or "") + "\n"
                 keys = r.row_keys if r.row_keys is not None else range(len(r.value))
                 out.write("".join(
-                    _csv_line([r.kind, n, kk, r.method or "", v, r.decimal or ""])
+                    head + _csv_field(kk) + middle + _csv_field(v) + tail
                     for kk, v in zip(keys, r.value)
                 ))
             else:
@@ -243,9 +248,11 @@ def cmd_probe(args):
 
     def reports():
         # Each a-row is probed and written as it streams; only row n-1 is kept.
+        # The rows are Decimals, which print in linear time; they are exact
+        # because the whole stream is consumed in EXACT_DECIMAL below.
         nonlocal unimodal
         previous = None
-        for n, row in enumerate(a_rows(args.max_n), 1):
+        for n, row in enumerate(a_rows(args.max_n, Decimal(1)), 1):
             r = probe_a_row(n, row, previous)
             previous = r.row
             unimodal += r.is_unimodal
@@ -256,47 +263,50 @@ def cmd_probe(args):
     def summary():
         return "unimodal rows: %d/%d" % (unimodal, args.max_n)
 
-    if args.format == "frac":
-        for r in reports():
-            print(
-                "n=%d row=%s peaks=%s unimodal=%s increasing=%s"
-                % (
-                    r.n,
-                    r.row,
-                    r.peak_indices,
-                    "yes" if r.is_unimodal else "NO",
-                    "ok" if r.increasing_in_n_ok else "NO",
-                )
-            )
-        print(summary())
-        print(
-            "increasing_in_n: %s"
-            % ("FAIL at n=%s" % ",".join(not_increasing) if not_increasing else "OK")
-        )
-    else:
-
-        def records():
+    # Entered here, not in a generator: a suspended generator's context
+    # would leak into its caller between yields and after an early close.
+    with localcontext(EXACT_DECIMAL):
+        if args.format == "frac":
             for r in reports():
+                print(
+                    "n=%d row=[%s] peaks=%s unimodal=%s increasing=%s"
+                    % (
+                        r.n,
+                        ", ".join(map(str, r.row)),
+                        r.peak_indices,
+                        "yes" if r.is_unimodal else "NO",
+                        "ok" if r.increasing_in_n_ok else "NO",
+                    )
+                )
+            print(summary())
+            print(
+                "increasing_in_n: %s"
+                % ("FAIL at n=%s" % ",".join(not_increasing) if not_increasing else "OK")
+            )
+        else:
+
+            def records():
+                for r in reports():
+                    yield OutputRecord(
+                        "probe",
+                        [r.n],
+                        [str(v) for v in r.row],
+                        row_keys=range(2, r.n + 2),
+                        extra={
+                            "peaks": r.peak_indices,
+                            "unimodal": r.is_unimodal,
+                            "increasing_in_n": r.increasing_in_n_ok,
+                        },
+                    )
                 yield OutputRecord(
                     "probe",
-                    [r.n],
-                    [str(v) for v in r.row],
-                    row_keys=range(2, r.n + 2),
-                    extra={
-                        "peaks": r.peak_indices,
-                        "unimodal": r.is_unimodal,
-                        "increasing_in_n": r.increasing_in_n_ok,
-                    },
+                    [],
+                    summary(),
+                    method="summary",
+                    extra={"increasing_in_n": not not_increasing},
                 )
-            yield OutputRecord(
-                "probe",
-                [],
-                summary(),
-                method="summary",
-                extra={"increasing_in_n": not not_increasing},
-            )
 
-        emit(records(), args.format)
+            emit(records(), args.format)
     return EXIT_OK
 
 

@@ -3,9 +3,11 @@
 Python ints are already exact at any size, and ``fractions.Fraction`` keeps
 every value normalized (positive denominator, coprime parts, zero as 0/1),
 so those are the number types used throughout the package.  This module adds
-the handful of named operations the rest of the code builds on.
+the handful of named operations the rest of the code builds on, and the one
+decimal context in which integer rows may be held as ``Decimal`` for printing.
 """
 
+import decimal
 from fractions import Fraction
 from math import factorial
 
@@ -16,7 +18,17 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "decimal_string",
+    "EXACT_DECIMAL",
 ]
+
+# CPython prints an int in time quadratic in its digit count; libmpdec keeps
+# digits in radix 10**19 and prints a Decimal in linear time.  Integer
+# Decimals computed in this context are exact: any rounding raises.
+EXACT_DECIMAL = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+)
 
 
 def harmonic(n: int) -> Fraction:

@@ -1,19 +1,26 @@
 """The auxiliary table a(n,k): both routes, the difference identity, the probe."""
 
+import decimal
+from decimal import Decimal
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gregory import (
     ASequence,
     a_difference_identity_check,
     a_from_stirling,
     a_nested_sum,
+    a_row,
     a_rows,
     probe_a_row,
     probe_row,
     stirling_triangle,
 )
+from gregory import _kernels
+from gregory.exact import EXACT_DECIMAL
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +38,63 @@ def test_row_stream_matches_table_and_probe(a_table):
     assert [tuple(r) for r in rows] == [a_table.row(n) for n in range(1, 31)]
     for n in range(2, 31):
         assert probe_a_row(n, rows[n - 1], rows[n - 2]) == probe_row(n, a_table)
+
+
+def test_row_stream_checks_max_n_when_called():
+    assert list(a_rows(0)) == []
+    assert list(a_rows(0, Decimal(1))) == []
+    with pytest.raises(ValueError):
+        a_rows(-1)  # the call raises, before any row is taken
+
+
+def test_row_recursion_matches_stirling_relation():
+    s_rows = _kernels.stirling_rows(200)
+    next(s_rows)  # s(0,.) has no a-row
+    assert list(a_rows(200)) == [a_row(n, s_row) for n, s_row in enumerate(s_rows, 1)]
+    for m in (1, 2, 3, 40):
+        built = ASequence.build(m)
+        related = ASequence.from_triangle(stirling_triangle(m), m)
+        assert [built.row(n) for n in range(1, m + 1)] == [
+            related.row(n) for n in range(1, m + 1)
+        ]
+
+
+@pytest.fixture(scope="module")
+def rows_and_triangle_300():
+    return list(a_rows(300)), stirling_triangle(300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n + 1))))
+def test_row_recursion_is_signed_factorial_times_stirling(rows_and_triangle_300, nk):
+    # a(n,k) = (-1)^(n+k-1) (k-1)! s(n,k-1)
+    rows, triangle = rows_and_triangle_300
+    n, k = nk
+    assert rows[n - 1][k - 2] == a_from_stirling(n, k, triangle)
+
+
+def test_decimal_rows_print_and_probe_as_the_int_rows():
+    with decimal.localcontext(EXACT_DECIMAL):
+        decimal_rows = list(a_rows(200, Decimal(1)))
+    int_rows = list(a_rows(200))
+    prev_d = prev_i = None
+    for n, (row_d, row_i) in enumerate(zip(decimal_rows, int_rows, strict=True), 1):
+        assert list(map(str, row_d)) == list(map(str, row_i))
+        assert "[%s]" % ", ".join(map(str, row_d)) == repr(row_i)  # probe's frac text
+        probe_d, probe_i = probe_a_row(n, row_d, prev_d), probe_a_row(n, row_i, prev_i)
+        assert (probe_d.peak_indices, probe_d.is_unimodal, probe_d.increasing_in_n_ok) == (
+            probe_i.peak_indices,
+            probe_i.is_unimodal,
+            probe_i.increasing_in_n_ok,
+        )
+        prev_d, prev_i = row_d, row_i
+
+
+def test_exact_decimal_context_traps_rounding():
+    narrow = EXACT_DECIMAL.copy()
+    narrow.prec = 40  # row 60 holds values past 10**80
+    with decimal.localcontext(narrow), pytest.raises((decimal.Rounded, decimal.Inexact)):
+        list(a_rows(60, Decimal(1)))
 
 
 def test_nested_sum_examples():

@@ -1,8 +1,10 @@
 """CLI contract: outputs, formats, exit codes."""
 
 import csv
+import decimal
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -275,6 +277,28 @@ def test_closed_output_pipe_ends_quietly():
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
     assert err == ""
+
+
+@pytest.mark.parametrize("fmt", ["frac", "json", "csv"])
+def test_probe_leaves_the_callers_decimal_context(fmt, capsys):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 7
+        code, out, _ = run(["probe", "--max-n", "40", "--format", fmt], capsys)
+        assert code == 0 and "unimodal rows: 40/40" in out
+        assert decimal.getcontext() is ctx
+        assert ctx.prec == 7 and not ctx.traps[decimal.Inexact]
+
+
+def test_probe_into_closed_pipe_leaves_the_callers_decimal_context(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as out, decimal.localcontext() as ctx:
+        ctx.prec = 7
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(["probe", "--max-n", "150"]) == 1  # stopped by the pipe
+        assert decimal.getcontext() is ctx
+        assert ctx.prec == 7 and not ctx.traps[decimal.Inexact]
+
 
 def test_no_arguments_is_usage_error(capsys):
     code, _, err = run([], capsys)
