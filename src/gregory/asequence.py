@@ -166,13 +166,12 @@ def probe_a_row(n: int, row, prev_row=None) -> ProbeReport:
     top = max(row)
     first = row.index(top)
     last = len(row) - 1 - row[::-1].index(top)
-    plateau_solid = all(row[i] == top for i in range(first, last + 1))
+    # Every index holding top lies in [first, last].
+    peaks = [i + 2 for i in range(first, last + 1) if row[i] == top]
+    plateau_solid = len(peaks) == last - first + 1
     rising = all(row[i] <= row[i + 1] for i in range(first))
     falling = all(row[i] >= row[i + 1] for i in range(last, len(row) - 1))
     unimodal = plateau_solid and rising and falling
-    peaks = [i + 2 for i in range(first, last + 1)] if plateau_solid else [
-        i + 2 for i, v in enumerate(row) if v == top
-    ]
     increasing = prev_row is None or all(
         row[i] >= prev_row[i] for i in range(len(prev_row))
     )

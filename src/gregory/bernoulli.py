@@ -151,31 +151,32 @@ def bernoulli2_values(method: str, max_n: int, start: int = 2) -> list:
 
 @dataclass
 class MethodReport:
-    """Value of b_n under each method, plus the agreement flag."""
+    """b_n under each route, keyed by route name in :data:`ROUTES` order, plus
+    the agreement flag."""
 
     n: int
-    by_series: Fraction
-    by_nemes: Fraction
-    by_theorem: Fraction
-    by_ank: Fraction
+    values: dict
     agree: bool
 
     @classmethod
-    def gather(cls, n, by_series, by_nemes, by_theorem, by_ank):
-        agree = by_series == by_nemes == by_theorem == by_ank
-        return cls(n, by_series, by_nemes, by_theorem, by_ank, agree)
+    def gather(cls, n, values):
+        """The one agreement rule: every route's value equals the first.  The
+        values are compared, not hashed into a set: hashing a Fraction with a
+        large denominator costs more than comparing it."""
+        first = next(iter(values.values()))
+        return cls(n, values, all(v == first for v in values.values()))
 
-    def value(self, method: str) -> Fraction:
-        """b_n as computed by the named route."""
-        return getattr(self, "by_" + method)
+
+def _reports(columns, start):
+    """One MethodReport per n from per-route columns b_start, b_start+1, ..."""
+    return [
+        MethodReport.gather(n, dict(zip(columns, row)))
+        for n, row in enumerate(zip(*columns.values(), strict=True), start)
+    ]
 
 
 def bernoulli2_report(max_n: int, start: int = 2):
     """One MethodReport per n in [start, max_n]; each route streams its own rows."""
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
-    columns = {method: bernoulli2_values(method, max_n, start) for method in ROUTES}
-    return [
-        MethodReport.gather(n, **{"by_" + m: values[n - start] for m, values in columns.items()})
-        for n in range(start, max_n + 1)
-    ]
+    return _reports({method: bernoulli2_values(method, max_n, start) for method in ROUTES}, start)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 
 from .asequence import a_row, a_rows, probe_a_row
-from .bernoulli import ROUTES, bernoulli2_report, bernoulli2_values
+from .bernoulli import ROUTES, _reports, bernoulli2_report, bernoulli2_values
 from .calculus import evaluate_expansion, expansion_from_row, finite_difference_check
 from .exact import EXACT_DECIMAL, decimal_string, format_rational, harmonic
 from .stirling import stirling_row
@@ -36,7 +36,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 
-METHODS = tuple(ROUTES)
 # bench's "backend" column: the kernels are pure Python.
 BACKEND = "python"
 
@@ -53,8 +52,9 @@ class _Parser(argparse.ArgumentParser):
 @dataclass
 class OutputRecord:
     kind: str
-    indices: list
+    n: int  # None for a summary record
     value: object  # fraction/integer string, or list of them for a row
+    k: int = None
     decimal: str = None
     method: str = None
     row_keys: list = None  # index labels parallel to a list value
@@ -64,8 +64,8 @@ class OutputRecord:
 def _record_dict(rec):
     d = {
         "kind": rec.kind,
-        "n": rec.indices[0] if len(rec.indices) > 0 else None,
-        "k": rec.indices[1] if len(rec.indices) > 1 else None,
+        "n": rec.n,
+        "k": rec.k,
         "method": rec.method,
         "value": rec.value,
         "decimal": rec.decimal,
@@ -75,9 +75,10 @@ def _record_dict(rec):
 
 
 def _csv_field(value):
-    """A field as csv.writer's default dialect writes it: quoted only when it
-    holds a comma, a quote, CR or LF, with each inner quote doubled."""
-    text = str(value)
+    """A field as csv.writer's default dialect writes it: None as nothing,
+    quoted only when it holds a comma, a quote, CR or LF, with each inner
+    quote doubled."""
+    text = "" if value is None else str(value)
     if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"%s"' % text.replace('"', '""')
     return text
@@ -87,13 +88,13 @@ def _csv_line(fields):
     return ",".join(map(_csv_field, fields)) + "\n"
 
 
-def emit(records, fmt, out=None):
+def emit(records, fmt):
     """Write each record of an iterable as soon as it is made.
 
     The JSON text is the one ``json.dump(list, indent=2)`` gives for the whole
     list, the CSV text the one ``csv.writer`` gives with ``lineterminator="\\n"``.
     """
-    out = out or sys.stdout
+    out = sys.stdout
     if fmt == "json":
         empty = True
         for r in records:
@@ -104,26 +105,35 @@ def emit(records, fmt, out=None):
     elif fmt == "csv":
         out.write(_csv_line(["kind", "n", "k", "method", "value", "decimal"]))
         for r in records:
-            n = r.indices[0] if r.indices else ""
             if isinstance(r.value, list):
                 # kind,n,<k>,method,<value>,decimal: the fixed fields once.
-                head = _csv_field(r.kind) + "," + _csv_field(n) + ","
-                middle = "," + _csv_field(r.method or "") + ","
-                tail = "," + _csv_field(r.decimal or "") + "\n"
+                head = _csv_field(r.kind) + "," + _csv_field(r.n) + ","
+                middle = "," + _csv_field(r.method) + ","
+                tail = "," + _csv_field(r.decimal) + "\n"
                 keys = r.row_keys if r.row_keys is not None else range(len(r.value))
                 out.write("".join(
                     head + _csv_field(kk) + middle + _csv_field(v) + tail
                     for kk, v in zip(keys, r.value)
                 ))
             else:
-                k = r.indices[1] if len(r.indices) > 1 else ""
-                out.write(_csv_line([r.kind, n, k, r.method or "", r.value, r.decimal or ""]))
+                out.write(_csv_line([r.kind, r.n, r.k, r.method, r.value, r.decimal]))
     else:
         raise AssertionError("emit() only handles machine formats")
 
 
 def _maybe_decimal(value, digits):
     return decimal_string(value, digits) if digits is not None else None
+
+
+def _write_record(rec, fmt):
+    """Write a one-record command's output: in frac the value (a row joined
+    by spaces), then " " + decimal when one is set; otherwise through emit."""
+    if fmt == "frac":
+        text = " ".join(rec.value) if isinstance(rec.value, list) else rec.value
+        print(text if rec.decimal is None else "%s %s" % (text, rec.decimal))
+    else:
+        emit([rec], fmt)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------- commands
@@ -136,21 +146,12 @@ def cmd_stirling1(args):
     s_row = stirling_row(n)
     if args.k is None:
         row = [str(v) for v in s_row]
-        rec = OutputRecord("stirling1", [n], row, row_keys=list(range(n + 1)))
-        if args.format == "frac":
-            print(" ".join(row))
-        else:
-            emit([rec], args.format)
-        return EXIT_OK
+        return _write_record(
+            OutputRecord("stirling1", n, row, row_keys=list(range(n + 1))), args.format
+        )
     if not 0 <= args.k <= n:
         raise CommandError("k=%d out of range for n=%d (need 0 <= k <= n)" % (args.k, n))
-    value = str(s_row[args.k])
-    rec = OutputRecord("stirling1", [n, args.k], value)
-    if args.format == "frac":
-        print(value)
-    else:
-        emit([rec], args.format)
-    return EXIT_OK
+    return _write_record(OutputRecord("stirling1", n, str(s_row[args.k]), k=args.k), args.format)
 
 
 def _write_reports(reports, kind, args, summary=None):
@@ -159,7 +160,7 @@ def _write_reports(reports, kind, args, summary=None):
     summary, if any.  Exit 0 when every n agrees, else 2."""
     if args.format == "frac":
         for r in reports:
-            values = " ".join("%s=%s" % (m, format_rational(r.value(m))) for m in METHODS)
+            values = " ".join("%s=%s" % (m, format_rational(v)) for m, v in r.values.items())
             print("n=%d %s agree=%s" % (r.n, values, "yes" if r.agree else "NO"))
         if summary is not None:
             print(summary)
@@ -167,16 +168,16 @@ def _write_reports(reports, kind, args, summary=None):
         records = (
             OutputRecord(
                 kind,
-                [r.n],
-                format_rational(r.value(method)),
-                decimal=_maybe_decimal(r.value(method), args.digits),
+                r.n,
+                format_rational(value),
+                decimal=_maybe_decimal(value, args.digits),
                 method=method,
                 extra={"agree": r.agree},
             )
             for r in reports
-            for method in METHODS
+            for method, value in r.values.items()
         )
-        tail = [] if summary is None else [OutputRecord(kind, [], summary, method="summary")]
+        tail = [] if summary is None else [OutputRecord(kind, None, summary, method="summary")]
         emit(itertools.chain(records, tail), args.format)
     return EXIT_OK if all(r.agree for r in reports) else EXIT_VERIFY
 
@@ -185,7 +186,7 @@ def cmd_bernoulli2(args):
     n = args.n
     if n < 0:
         raise CommandError("n must be >= 0")
-    methods = METHODS if args.method == "all" else (args.method,)
+    methods = ROUTES if args.method == "all" else (args.method,)
     if n < max(ROUTES[m].min_n for m in methods):
         raise CommandError(
             "method %r is stated for n >= 2 only; use series or nemes for b_0, b_1"
@@ -194,27 +195,24 @@ def cmd_bernoulli2(args):
     if args.method == "all":
         return _write_reports(bernoulli2_report(n, start=n), "bernoulli2", args)
     value = bernoulli2_values(args.method, n, start=n)[0]
-    dec = _maybe_decimal(value, args.digits)
-    if args.format == "frac":
-        print(format_rational(value) if dec is None else "%s %s" % (format_rational(value), dec))
-    else:
-        emit(
-            [OutputRecord("bernoulli2", [n], format_rational(value), decimal=dec, method=args.method)],
-            args.format,
-        )
-    return EXIT_OK
+    rec = OutputRecord(
+        "bernoulli2",
+        n,
+        format_rational(value),
+        decimal=_maybe_decimal(value, args.digits),
+        method=args.method,
+    )
+    return _write_record(rec, args.format)
 
 
 def cmd_harmonic(args):
     if args.n < 0:
         raise CommandError("n must be >= 0")
     value = harmonic(args.n)
-    dec = _maybe_decimal(value, args.digits)
-    if args.format == "frac":
-        print(format_rational(value) if dec is None else "%s %s" % (format_rational(value), dec))
-    else:
-        emit([OutputRecord("harmonic", [args.n], format_rational(value), decimal=dec)], args.format)
-    return EXIT_OK
+    rec = OutputRecord(
+        "harmonic", args.n, format_rational(value), decimal=_maybe_decimal(value, args.digits)
+    )
+    return _write_record(rec, args.format)
 
 
 def cmd_ank(args):
@@ -224,11 +222,7 @@ def cmd_ank(args):
     if not 2 <= k <= n + 1:
         raise CommandError("k=%d out of range for n=%d (need 2 <= k <= n+1)" % (k, n))
     value = a_row(n, stirling_row(n))[k - 2]
-    if args.format == "frac":
-        print(value)
-    else:
-        emit([OutputRecord("a_nk", [n, k], str(value))], args.format)
-    return EXIT_OK
+    return _write_record(OutputRecord("a_nk", n, str(value), k=k), args.format)
 
 
 def cmd_crosscheck(args):
@@ -289,7 +283,7 @@ def cmd_probe(args):
                 for r in reports():
                     yield OutputRecord(
                         "probe",
-                        [r.n],
+                        r.n,
                         [str(v) for v in r.row],
                         row_keys=range(2, r.n + 2),
                         extra={
@@ -300,7 +294,7 @@ def cmd_probe(args):
                     )
                 yield OutputRecord(
                     "probe",
-                    [],
+                    None,
                     summary(),
                     method="summary",
                     extra={"increasing_in_n": not not_increasing},
@@ -316,16 +310,15 @@ def cmd_bench(args):
     if args.repeat < 1:
         raise CommandError("--repeat must be >= 1")
     rows = []
-    values_by_method = {}
-    for method in METHODS:
+    columns = {}
+    for method in ROUTES:
         times = []
         for _ in range(args.repeat):
             t0 = time.perf_counter()
-            values = bernoulli2_values(method, args.max_n)
+            columns[method] = bernoulli2_values(method, args.max_n)
             times.append(time.perf_counter() - t0)
         rows.append((method, statistics.median(times)))
-        values_by_method[method] = values
-    agree = len({tuple(v) for v in values_by_method.values()}) == 1
+    agree = all(r.agree for r in _reports(columns, 2))
     if args.format == "csv":
         sys.stdout.write(_csv_line(["backend", "method", "max_n", "repeat", "median_s"]))
         for method, median in rows:
@@ -336,7 +329,7 @@ def cmd_bench(args):
             [
                 OutputRecord(
                     "bench",
-                    [args.max_n],
+                    args.max_n,
                     "%.6f" % median,
                     method=method,
                     extra={"backend": BACKEND, "repeat": args.repeat},
@@ -392,7 +385,7 @@ def cmd_deriv(args):
             [
                 OutputRecord(
                     "deriv_coeffs",
-                    [n],
+                    n,
                     [str(c) for _, c in expansion.coeffs],
                     row_keys=[k for k, _ in expansion.coeffs],
                     extra=extra,
@@ -439,7 +432,8 @@ def build_parser():
         "bernoulli2", parents=[common, digits], help="Bernoulli number of the second kind b_n"
     )
     p.add_argument("n", type=int)
-    p.add_argument("--method", choices=METHODS + ("all",), default="series")
+    # The default is the first route, the reference column.
+    p.add_argument("--method", choices=(*ROUTES, "all"), default=next(iter(ROUTES)))
     p.set_defaults(func=cmd_bernoulli2)
 
     p = sub.add_parser("harmonic", parents=[common, digits], help="harmonic number H(n)")
@@ -505,10 +499,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         with _exact_int_rendering():
             return args.func(args)
-    except CommandError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ZeroDivisionError) as exc:
+    except (CommandError, ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

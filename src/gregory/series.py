@@ -67,15 +67,6 @@ class TruncatedSeries:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __mul__(self, other):
-        return series_mul(self, other)
-
-    def __truediv__(self, other):
-        return series_div(self, other)
-
-    def __pow__(self, k):
-        return series_pow(self, k)
-
     def __repr__(self):
         return "TruncatedSeries(%s)" % (list(self.coeffs),)
 

@@ -34,6 +34,7 @@ from gregory import (
     stirling_nested_sum,
     stirling_triangle,
 )
+from gregory.bernoulli import ROUTES
 from gregory.series import log1p_series, one_series, series_mul
 
 F = Fraction
@@ -230,8 +231,8 @@ def test_criterion_9_cli_contract(capsys, monkeypatch):
     ok = ok and cli.main(["stirling1", "3", "5"]) == 1
     ok = ok and cli.main(["bernoulli2", "1", "--method", "theorem"]) == 1
 
-    good = F(-1, 12)
-    fault = [MethodReport.gather(2, good, good, good, F(1, 12))]
+    values = {**dict.fromkeys(ROUTES, F(-1, 12)), "ank": F(1, 12)}
+    fault = [MethodReport.gather(2, values)]
     monkeypatch.setattr(cli, "bernoulli2_report", lambda max_n: fault)
     ok = ok and cli.main(["crosscheck", "--max-n", "2"]) == 2
     monkeypatch.undo()

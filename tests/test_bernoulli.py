@@ -108,7 +108,8 @@ def test_report_single_row():
     assert len(reports) == 1
     r = reports[0]
     assert r.n == 2
-    assert r.by_series == r.by_nemes == r.by_theorem == r.by_ank == F(-1, 12)
+    # A dict's == ignores order; the item lists check it too.
+    assert list(r.values.items()) == list(dict.fromkeys(bernoulli.ROUTES, F(-1, 12)).items())
     assert r.agree
 
 
@@ -116,7 +117,7 @@ def test_report_to_5():
     reports = bernoulli2_report(5)
     assert [r.n for r in reports] == [2, 3, 4, 5]
     last = reports[-1]
-    assert last.by_series == last.by_nemes == last.by_theorem == last.by_ank == F(3, 160)
+    assert list(last.values.items()) == list(dict.fromkeys(bernoulli.ROUTES, F(3, 160)).items())
     assert all(r.agree for r in reports)
     assert bernoulli2_report(5, start=5) == reports[-1:]
 
@@ -176,7 +177,9 @@ def test_stream_rejects_start_below_stated_domain(method):
 
 
 def test_method_report_flags_disagreement():
-    r = MethodReport.gather(2, F(-1, 12), F(-1, 12), F(-1, 12), F(1, 12))
+    values = {**dict.fromkeys(bernoulli.ROUTES, F(-1, 12)), "ank": F(1, 12)}
+    r = MethodReport.gather(2, values)
+    assert r.values == values
     assert not r.agree
 
 

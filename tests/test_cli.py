@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import gregory.cli as cli
-from gregory import MethodReport
+from gregory import MethodReport, bernoulli, bernoulli2_report
 
 
 def run(argv, capsys):
@@ -112,8 +112,8 @@ def test_crosscheck_agreeing(capsys):
 
 
 def test_crosscheck_detects_injected_fault(capsys, monkeypatch):
-    good = Fraction(-1, 12)
-    bad_report = [MethodReport.gather(2, good, good, good, Fraction(1, 12))]
+    values = {**dict.fromkeys(bernoulli.ROUTES, Fraction(-1, 12)), "ank": Fraction(1, 12)}
+    bad_report = [MethodReport.gather(2, values)]
     monkeypatch.setattr(cli, "bernoulli2_report", lambda max_n: bad_report)
     code, out, _ = run(["crosscheck", "--max-n", "2"], capsys)
     assert code == 2
@@ -142,6 +142,36 @@ def test_bench_default_has_four_method_rows(capsys):
     assert len(body) == 4
     assert [l.split()[1] for l in body] == ["series", "nemes", "theorem", "ank"]
     assert "methods agree: yes" in out
+
+
+def test_a_route_added_to_the_registry_reaches_every_report_and_command(capsys, monkeypatch):
+    # The registry is the only list of routes: a fifth entry (a second copy
+    # of nemes) shows up in the reports, the agreement rule and the CLI.
+    # Both modules hold the same dict, so adding to it reaches both.
+    assert cli.ROUTES is bernoulli.ROUTES
+    nemes_again = bernoulli.Route(0, bernoulli._nemes_stream)
+    monkeypatch.setitem(bernoulli.ROUTES, "nemes_again", nemes_again)
+    names = ["series", "nemes", "theorem", "ank", "nemes_again"]
+    assert list(bernoulli.ROUTES) == names
+
+    reports = bernoulli2_report(6)
+    assert [r.n for r in reports] == [2, 3, 4, 5, 6]
+    assert all(list(r.values) == names and r.agree for r in reports)
+
+    code, out, _ = run(["crosscheck", "--max-n", "4"], capsys)
+    assert code == 0
+    assert "n=4 series=-19/720 " in out and " nemes_again=-19/720 agree=yes" in out
+    code, out, _ = run(["crosscheck", "--max-n", "4", "--format", "json"], capsys)
+    assert code == 0
+    assert list(dict.fromkeys(r["method"] for r in json.loads(out))) == names + ["summary"]
+
+    code, out, _ = run(["bernoulli2", "5", "--method", "nemes_again"], capsys)
+    assert (code, out) == (0, "3/160\n")
+
+    code, out, _ = run(["bench", "--max-n", "3"], capsys)
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines()[1:-1]] == names
+    assert out.endswith("methods agree: yes\n")
 
 
 def test_bench_csv(capsys):
@@ -384,10 +414,9 @@ def test_csv_output_survives_reader_writer_round_trip(argv, capsys):
     assert again.getvalue() == out
 
 
-def test_emit_json_of_no_records_is_an_empty_list():
-    out = io.StringIO()
-    cli.emit([], "json", out)
-    assert out.getvalue() == "[]\n"
+def test_emit_json_of_no_records_is_an_empty_list(capsys):
+    cli.emit([], "json")
+    assert capsys.readouterr().out == "[]\n"
 
 
 # Rows always have five or six fields; csv.writer writes a lone empty field as
