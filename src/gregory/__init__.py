@@ -9,7 +9,7 @@ verifier for the 1/ln x derivative formula.
 
 The hot loops (the Stirling row recursion, nested sums, series products and
 division) live in :mod:`gregory._kernels`; the ``bench`` CLI subcommand times
-the four b_n routes side by side.
+every b_n route side by side.
 """
 
 from fractions import Fraction

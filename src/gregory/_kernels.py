@@ -2,11 +2,30 @@
 products and long division.
 
 Rationals travel as ``(num, den)`` tuples of Python ints with ``den > 0`` and
-``gcd(num, den) == 1``.
+``gcd(num, den) == 1``.  The three rational kernels share one exact-sum
+substrate: each scales its inputs to integers over one denominator
+(:func:`_over_lcm`), adds integers only, and reduces once per output entry
+(:func:`_reduced`).
 """
 
-from math import gcd, lcm
+from itertools import accumulate
+from math import factorial, gcd, lcm
 from operator import mul
+
+
+def _over_lcm(pairs):
+    """(ints, L): the pairs as integer numerators over L, the lcm of their
+    denominators."""
+    big = lcm(*(d for _, d in pairs))
+    return [n * (big // d) for n, d in pairs], big
+
+
+def _reduced(num, den):
+    """num/den as a normalized pair: gcd 1, den > 0, and (0, 1) for zero."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
 
 
 def stirling_rows(max_n):
@@ -40,47 +59,35 @@ def nested_sum_table(max_depth, max_top):
 
     S[d][m] = sum over l1 > l2 > ... > ld >= 1 with l1 <= m of prod 1/li,
     as reduced (num, den) pairs.  S[0][m] = 1; S[d][m] = 0 when m < d.
+
+    Row d is built from row d-1 by S[d][m] = S[d][m-1] + S[d-1][m-1]/m, on
+    integer numerators over M = max_top!: row[m] = row[m-1] + prev[m-1] // m.
+    The division is exact.  Every chain term of S[d-1][m-1] has a
+    denominator dividing (m-1)!, so its numerator over M is an integer
+    multiple of M/(m-1)! = m (m+1) ... max_top, which m divides.  Each row is
+    reduced once, when it is finished, and only the previous integer row is
+    kept.
     """
     if max_depth < 0 or max_top < 0:
         raise ValueError("table bounds must be >= 0")
-    table = [[(1, 1)] * (max_top + 1)]
-    for d in range(1, max_depth + 1):
-        prev = table[d - 1]
-        row = [(0, 1)] * (max_top + 1)
-        for m in range(1, max_top + 1):
-            an, ad = row[m - 1]
-            bn, bd = prev[m - 1]
-            # row[m] = row[m-1] + prev[m-1]/m
-            num = an * bd * m + bn * ad
-            den = ad * bd * m
-            g = gcd(num, den)
-            if g > 1:
-                num //= g
-                den //= g
-            row[m] = (num, den)
-        table.append(row)
+    big = factorial(max_top)
+    row = [big] * (max_top + 1)
+    table = [[_reduced(x, big) for x in row]]
+    for _ in range(max_depth):
+        row = list(accumulate((x // m for m, x in enumerate(row[:-1], 1)), initial=0))
+        table.append([_reduced(x, big) for x in row])
     return table
 
 
 def series_mul_pairs(a, b):
-    """Cauchy product of two equal-length coefficient lists of (num, den) pairs."""
-    n = len(a) - 1
-    out = []
-    for j in range(n + 1):
-        sn = 0
-        sd = 1
-        for i in range(j + 1):
-            pn = a[i][0] * b[j - i][0]
-            if pn:
-                pd = a[i][1] * b[j - i][1]
-                sn = sn * pd + pn * sd
-                sd *= pd
-                g = gcd(sn, sd)
-                if g > 1:
-                    sn //= g
-                    sd //= g
-        out.append((sn, sd) if sn else (0, 1))
-    return out
+    """Cauchy product of two equal-length coefficient lists of (num, den) pairs.
+
+    With a = A/La and b = B/Lb scaled to integers, coefficient j is the
+    integer sum of A[i] B[j-i] over La*Lb, reduced once.
+    """
+    big_a, la = _over_lcm(a)
+    big_b, lb = _over_lcm(b)
+    return [_reduced(sum(map(mul, big_a[: j + 1], big_b[j::-1])), la * lb) for j in range(len(a))]
 
 
 def series_div_pairs(num, den):
@@ -96,21 +103,15 @@ def series_div_pairs(num, den):
     """
     if den[0][0] == 0:
         raise ZeroDivisionError("leading coefficient of divisor is zero")
-    ln = lcm(*(d for _, d in num))
-    ld = lcm(*(d for _, d in den))
-    big_n = [n * (ln // d) for n, d in num]
-    big_d = [n * (ld // d) for n, d in den]
+    big_n, ln = _over_lcm(num)
+    big_d, ld = _over_lcm(den)
     d0 = big_d[0]
     r = ln
     p = []
     q = []
     for j, nj in enumerate(big_n):
         s = nj * ld * (r // ln) - sum(map(mul, p, big_d[j:0:-1]))
-        qd = r * d0
-        g = gcd(s, qd)
-        qn, qd = s // g, qd // g
-        if qd < 0:
-            qn, qd = -qn, -qd
+        qn, qd = _reduced(s, r * d0)
         q.append((qn, qd))
         grow = qd // gcd(r, qd)
         if grow > 1:

@@ -77,30 +77,24 @@ def central_difference_weights(n: int):
     """Offsets and exact weights of the order-2 central stencil for f^(n).
 
     Uses 2*ceil(n/2) + 1 points.  The weights w_j solve the moment conditions
-    sum_j w_j j^p = n! [p == n] for p = 0 .. 2m, solved in exact rational
-    arithmetic, so f^(n)(x) ~ h^(-n) sum_j w_j f(x + j h) with O(h^2) error.
+    sum_j w_j j^p = n! [p == n] for p = 0 .. 2m, so f^(n)(x) ~ h^(-n) sum_j
+    w_j f(x + j h) with O(h^2) error.  That Vandermonde system is nonsingular,
+    and its solution is w_j = n! [x^n] l_j(x), with l_j the Lagrange basis
+    polynomial that is 1 at offset j and 0 at the others, built in exact
+    rational arithmetic.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     m = (n + 1) // 2
     offsets = list(range(-m, m + 1))
-    size = 2 * m + 1
-    matrix = [[Fraction(j) ** p for j in offsets] for p in range(size)]
-    rhs = [Fraction(math.factorial(n)) if p == n else Fraction(0) for p in range(size)]
-    # Gauss-Jordan; the Vandermonde system is tiny (at most 7x7) and nonsingular.
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if matrix[r][col] != 0)
-        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = Fraction(1) / matrix[col][col]
-        matrix[col] = [v * inv for v in matrix[col]]
-        rhs[col] *= inv
-        for r in range(size):
-            if r != col and matrix[r][col]:
-                f = matrix[r][col]
-                matrix[r] = [v - f * w for v, w in zip(matrix[r], matrix[col])]
-                rhs[r] -= f * rhs[col]
-    return offsets, rhs
+    weights = []
+    for j in offsets:
+        basis = [Fraction(1)]  # coefficients of l_j, lowest order first
+        for i in offsets:
+            if i != j:  # times (x - i) / (j - i)
+                basis = [(low - i * c) / (j - i) for low, c in zip([0, *basis], [*basis, 0])]
+        weights.append(math.factorial(n) * basis[n])
+    return offsets, weights
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands compute single values or whole rows, cross-check the four b_n
-methods, probe the a(n,k) row shapes, time the methods, and verify the
+Subcommands compute single values or whole rows, cross-check every b_n
+route, probe the a(n,k) row shapes, time the methods, and verify the
 1/ln x derivative formula numerically.  Every per-method loop iterates the
 route registry :data:`gregory.bernoulli.ROUTES`.
 
@@ -187,10 +187,12 @@ def cmd_bernoulli2(args):
     if n < 0:
         raise CommandError("n must be >= 0")
     methods = ROUTES if args.method == "all" else (args.method,)
-    if n < max(ROUTES[m].min_n for m in methods):
+    need = max(ROUTES[m].min_n for m in methods)
+    if n < need:
+        instead = " or ".join(m for m, route in ROUTES.items() if route.min_n == 0)
         raise CommandError(
-            "method %r is stated for n >= 2 only; use series or nemes for b_0, b_1"
-            % args.method
+            "method %r is stated for n >= %d only; use %s for %s"
+            % (args.method, need, instead, ", ".join("b_%d" % j for j in range(need)))
         )
     if args.method == "all":
         return _write_reports(bernoulli2_report(n, start=n), "bernoulli2", args)
@@ -446,7 +448,7 @@ def build_parser():
     p.set_defaults(func=cmd_ank)
 
     p = sub.add_parser(
-        "crosscheck", parents=[common, digits], help="verify all four b_n methods agree"
+        "crosscheck", parents=[common, digits], help="verify every b_n route agrees"
     )
     p.add_argument("--max-n", type=int, required=True)
     p.set_defaults(func=cmd_crosscheck)
@@ -455,7 +457,7 @@ def build_parser():
     p.add_argument("--max-n", type=int, required=True)
     p.set_defaults(func=cmd_probe)
 
-    p = sub.add_parser("bench", parents=[common], help="time the four b_n methods")
+    p = sub.add_parser("bench", parents=[common], help="time every b_n route")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--repeat", type=int, default=1)
     p.set_defaults(func=cmd_bench)

@@ -21,11 +21,12 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent.parent / "src"))
 
 import gregory.cli  # noqa: E402
+from gregory.bernoulli import ROUTES  # noqa: E402
 
 DIGESTS = HERE / "cli_digests.json"
 
 FORMATS = ([], ["--format", "json"], ["--format", "csv"])
-METHODS = ("series", "nemes", "theorem", "ank", "all")
+METHODS = (*ROUTES, "all")
 MAX_N = 60  # single values and rows
 MAX_N_TABLE = 200  # crosscheck and probe
 

@@ -173,6 +173,16 @@ def test_a_route_added_to_the_registry_reaches_every_report_and_command(capsys, 
     assert [line.split()[1] for line in out.splitlines()[1:-1]] == names
     assert out.endswith("methods agree: yes\n")
 
+    # A route stated from n = 3 on moves the bernoulli2 domain message, and
+    # the routes it offers instead are the registry's routes stated from 0.
+    monkeypatch.delitem(bernoulli.ROUTES, "nemes_again")
+    monkeypatch.setitem(bernoulli.ROUTES, "late", bernoulli.Route(3, bernoulli._nemes_stream))
+    code, out, err = run(["bernoulli2", "2", "--method", "late"], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: method 'late' is stated for n >= 3 only; use series or nemes for b_0, b_1, b_2\n"
+    )
+
 
 def test_bench_csv(capsys):
     code, out, _ = run(["bench", "--max-n", "4", "--repeat", "2", "--format", "csv"], capsys)

@@ -1,6 +1,7 @@
 """Kernels against an independent oracle, their (num, den) invariants, and
-property tests of series division."""
+property tests of the series product and division against plain Fractions."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -26,6 +27,30 @@ def test_pairs_are_normalized():
         for num, den in row:
             assert den > 0
             assert gcd(num, den) == 1
+
+
+def _fraction_nested_sums(size):
+    """S[d][m] for d, m < size by S[d][m] = S[d][m-1] + S[d-1][m-1]/m in
+    plain Fractions, with S[0][m] = 1 and S[d][0] = 0 for d >= 1."""
+    table = [[Fraction(1)] * size]
+    for _ in range(1, size):
+        row = [Fraction(0)]
+        for m in range(1, size):
+            row.append(row[m - 1] + table[-1][m - 1] / m)
+        table.append(row)
+    return table
+
+
+def test_nested_sum_table_matches_fractions_at_every_size():
+    # The kernel sums over max_top!, so each (max_depth, max_top) is a
+    # different denominator: check every table, not only the largest.
+    expected = _fraction_nested_sums(31)
+    for depth in range(31):
+        for top in range(31):
+            assert _kernels.nested_sum_table(depth, top) == [
+                [(f.numerator, f.denominator) for f in row[: top + 1]]
+                for row in expected[: depth + 1]
+            ], (depth, top)
 
 
 def test_div_rejects_zero_leading_coefficient():
@@ -63,3 +88,27 @@ def test_div_pairs_are_normalized_and_invert_mul(case):
         assert qn or qd == 1
     assert _kernels.series_mul_pairs(q, den) == num
 
+
+def _as_pairs(coeffs):
+    return [(c.numerator, c.denominator) for c in map(Fraction, coeffs)]
+
+
+@st.composite
+def _product(draw):
+    """Two coefficient lists of one length, as Fractions."""
+    size = draw(st.integers(1, 12))
+    return (
+        draw(st.lists(_coeff, min_size=size, max_size=size)),
+        draw(st.lists(_coeff, min_size=size, max_size=size)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_product())
+# Always run zero coefficients, negative numerators and non-unit denominators.
+@example(([0, Fraction(-3, 4), Fraction(5, 6)], [Fraction(2, 9), 0, Fraction(-7, 10)]))
+@example(([0], [Fraction(-1, 3)]))
+def test_mul_pairs_is_the_fraction_cauchy_product(case):
+    a, b = case
+    product = [sum(Fraction(a[i]) * b[j - i] for i in range(j + 1)) for j in range(len(a))]
+    assert _kernels.series_mul_pairs(_as_pairs(a), _as_pairs(b)) == _as_pairs(product)
