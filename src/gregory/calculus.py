@@ -66,7 +66,7 @@ def evaluate_expansion(e: DerivativeExpansion, x: float) -> float:
     u = 1.0 / math.log(x)
     try:
         value = math.fsum(c * u ** (k + 1) for k, c in e.coeffs) / x ** e.n
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # x ** n overflowed or underflowed
         value = math.inf
     if not math.isfinite(value):
         raise ValueError("derivative of order %d at x=%r is beyond float range" % (e.n, x))
@@ -123,6 +123,8 @@ def finite_difference_check(n: int, x: float, h: float, tol: float) -> FiniteDif
         raise ValueError("n must be in [1, %d]" % MAX_CHECK_ORDER)
     if not all(map(math.isfinite, (x, h, tol))):
         raise ValueError("x, h and tol must be finite, got %r, %r, %r" % (x, h, tol))
+    if tol < 0:
+        raise ValueError("tol must be >= 0, got %r" % tol)
     if h <= 0:
         raise ValueError("h must be positive")
     if x <= 1:

@@ -13,6 +13,12 @@ they are made, so a row command holds one row at a time.  Exact values are
 printed in full however many digits they have.  Exit codes: 0 success, 1
 usage or domain error, 2 verification failure.  A reader that closes the
 output pipe early ends the command quietly with exit 1.
+
+Fixed argument bounds are declared once, in the parser, and checked with
+the rest of argv before any output: n >= 0 for stirling1, bernoulli2 and
+harmonic; n >= 1 for ank and deriv; --max-n >= 2; --repeat >= 1; --digits
+>= 0.  Bounds that depend on another argument (k, a route's first n,
+deriv --check needing x) are checked by the command, also before it writes.
 """
 
 import argparse
@@ -110,10 +116,9 @@ def emit(records, fmt):
                 head = _csv_field(r.kind) + "," + _csv_field(r.n) + ","
                 middle = "," + _csv_field(r.method) + ","
                 tail = "," + _csv_field(r.decimal) + "\n"
-                keys = r.row_keys if r.row_keys is not None else range(len(r.value))
                 out.write("".join(
                     head + _csv_field(kk) + middle + _csv_field(v) + tail
-                    for kk, v in zip(keys, r.value)
+                    for kk, v in zip(r.row_keys, r.value)
                 ))
             else:
                 out.write(_csv_line([r.kind, r.n, r.k, r.method, r.value, r.decimal]))
@@ -141,8 +146,6 @@ def _write_record(rec, fmt):
 
 def cmd_stirling1(args):
     n = args.n
-    if n < 0:
-        raise CommandError("n must be >= 0")
     s_row = stirling_row(n)
     if args.k is None:
         row = [str(v) for v in s_row]
@@ -184,8 +187,6 @@ def _write_reports(reports, kind, args, summary=None):
 
 def cmd_bernoulli2(args):
     n = args.n
-    if n < 0:
-        raise CommandError("n must be >= 0")
     methods = ROUTES if args.method == "all" else (args.method,)
     need = max(ROUTES[m].min_n for m in methods)
     if n < need:
@@ -208,8 +209,6 @@ def cmd_bernoulli2(args):
 
 
 def cmd_harmonic(args):
-    if args.n < 0:
-        raise CommandError("n must be >= 0")
     value = harmonic(args.n)
     rec = OutputRecord(
         "harmonic", args.n, format_rational(value), decimal=_maybe_decimal(value, args.digits)
@@ -219,8 +218,6 @@ def cmd_harmonic(args):
 
 def cmd_ank(args):
     n, k = args.n, args.k
-    if n < 1:
-        raise CommandError("n must be >= 1")
     if not 2 <= k <= n + 1:
         raise CommandError("k=%d out of range for n=%d (need 2 <= k <= n+1)" % (k, n))
     value = a_row(n, stirling_row(n))[k - 2]
@@ -228,8 +225,6 @@ def cmd_ank(args):
 
 
 def cmd_crosscheck(args):
-    if args.max_n < 2:
-        raise CommandError("--max-n must be >= 2")
     reports = bernoulli2_report(args.max_n)
     disagree = ",".join(str(r.n) for r in reports if not r.agree)
     summary = "DISAGREE at n=%s" % disagree if disagree else "ALL AGREE [2..%d]" % args.max_n
@@ -237,15 +232,13 @@ def cmd_crosscheck(args):
 
 
 def cmd_probe(args):
-    if args.max_n < 2:
-        raise CommandError("--max-n must be >= 2")
     unimodal = 0
     not_increasing = []
 
     def reports():
         # Each a-row is probed and written as it streams; only row n-1 is kept.
         # The rows are Decimals, which print in linear time; they are exact
-        # because the whole stream is consumed in EXACT_DECIMAL below.
+        # because main runs every command in EXACT_DECIMAL.
         nonlocal unimodal
         previous = None
         for n, row in enumerate(a_rows(args.max_n, Decimal(1)), 1):
@@ -259,58 +252,51 @@ def cmd_probe(args):
     def summary():
         return "unimodal rows: %d/%d" % (unimodal, args.max_n)
 
-    # Entered here, not in a generator: a suspended generator's context
-    # would leak into its caller between yields and after an early close.
-    with localcontext(EXACT_DECIMAL):
-        if args.format == "frac":
-            for r in reports():
-                print(
-                    "n=%d row=[%s] peaks=%s unimodal=%s increasing=%s"
-                    % (
-                        r.n,
-                        ", ".join(map(str, r.row)),
-                        r.peak_indices,
-                        "yes" if r.is_unimodal else "NO",
-                        "ok" if r.increasing_in_n_ok else "NO",
-                    )
-                )
-            print(summary())
+    if args.format == "frac":
+        for r in reports():
             print(
-                "increasing_in_n: %s"
-                % ("FAIL at n=%s" % ",".join(not_increasing) if not_increasing else "OK")
+                "n=%d row=[%s] peaks=%s unimodal=%s increasing=%s"
+                % (
+                    r.n,
+                    ", ".join(map(str, r.row)),
+                    r.peak_indices,
+                    "yes" if r.is_unimodal else "NO",
+                    "ok" if r.increasing_in_n_ok else "NO",
+                )
             )
-        else:
+        print(summary())
+        print(
+            "increasing_in_n: %s"
+            % ("FAIL at n=%s" % ",".join(not_increasing) if not_increasing else "OK")
+        )
+    else:
 
-            def records():
-                for r in reports():
-                    yield OutputRecord(
-                        "probe",
-                        r.n,
-                        [str(v) for v in r.row],
-                        row_keys=range(2, r.n + 2),
-                        extra={
-                            "peaks": r.peak_indices,
-                            "unimodal": r.is_unimodal,
-                            "increasing_in_n": r.increasing_in_n_ok,
-                        },
-                    )
+        def records():
+            for r in reports():
                 yield OutputRecord(
                     "probe",
-                    None,
-                    summary(),
-                    method="summary",
-                    extra={"increasing_in_n": not not_increasing},
+                    r.n,
+                    [str(v) for v in r.row],
+                    row_keys=range(2, r.n + 2),
+                    extra={
+                        "peaks": r.peak_indices,
+                        "unimodal": r.is_unimodal,
+                        "increasing_in_n": r.increasing_in_n_ok,
+                    },
                 )
+            yield OutputRecord(
+                "probe",
+                None,
+                summary(),
+                method="summary",
+                extra={"increasing_in_n": not not_increasing},
+            )
 
-            emit(records(), args.format)
+        emit(records(), args.format)
     return EXIT_OK
 
 
 def cmd_bench(args):
-    if args.max_n < 2:
-        raise CommandError("--max-n must be >= 2")
-    if args.repeat < 1:
-        raise CommandError("--repeat must be >= 1")
     rows = []
     columns = {}
     for method in ROUTES:
@@ -350,8 +336,6 @@ def cmd_bench(args):
 
 def cmd_deriv(args):
     n = args.n
-    if n < 1:
-        raise CommandError("n must be >= 1")
     expansion = expansion_from_row(n, stirling_row(n))
     coeff_text = ", ".join("k=%d: %d" % (k, c) for k, c in expansion.coeffs)
     extra = {}
@@ -401,6 +385,22 @@ def cmd_deriv(args):
 # ---------------------------------------------------------------- parser
 
 
+def _at_least(low):
+    """An argparse type: an int >= low.  A value below it is a usage error,
+    reported like a malformed one before any command runs."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError("must be >= %d" % low)
+        return value
+
+    return parse
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -413,7 +413,7 @@ def build_parser():
     digits = argparse.ArgumentParser(add_help=False)
     digits.add_argument(
         "--digits",
-        type=int,
+        type=_at_least(0),
         metavar="D",
         help="also render rational values as D-digit decimals (round-half-even)",
     )
@@ -426,44 +426,44 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("stirling1", parents=[common], help="signed s(n,k) or a whole row")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_at_least(0))
     p.add_argument("k", type=int, nargs="?")
     p.set_defaults(func=cmd_stirling1)
 
     p = sub.add_parser(
         "bernoulli2", parents=[common, digits], help="Bernoulli number of the second kind b_n"
     )
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_at_least(0))
     # The default is the first route, the reference column.
     p.add_argument("--method", choices=(*ROUTES, "all"), default=next(iter(ROUTES)))
     p.set_defaults(func=cmd_bernoulli2)
 
     p = sub.add_parser("harmonic", parents=[common, digits], help="harmonic number H(n)")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_at_least(0))
     p.set_defaults(func=cmd_harmonic)
 
     p = sub.add_parser("ank", parents=[common], help="auxiliary table value a(n,k)")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_at_least(1))
     p.add_argument("k", type=int)
     p.set_defaults(func=cmd_ank)
 
     p = sub.add_parser(
         "crosscheck", parents=[common, digits], help="verify every b_n route agrees"
     )
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_at_least(2), required=True)
     p.set_defaults(func=cmd_crosscheck)
 
     p = sub.add_parser("probe", parents=[common], help="row-shape probe of the a(n,k) table")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_at_least(2), required=True)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("bench", parents=[common], help="time every b_n route")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--repeat", type=int, default=1)
+    p.add_argument("--max-n", type=_at_least(2), required=True)
+    p.add_argument("--repeat", type=_at_least(1), default=1)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("deriv", parents=[common], help="n-th derivative of 1/ln x")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_at_least(1))
     p.add_argument("x", type=float, nargs="?")
     p.add_argument(
         "--check",
@@ -499,7 +499,11 @@ def main(argv=None) -> int:
     try:
         # argv is parsed under the cap; only the command's output is lifted.
         args = parser.parse_args(argv)
-        with _exact_int_rendering():
+        # Exact text for every command: ints print in full, and Decimal rows
+        # (probe) raise rather than round.  Entered here, not in a generator:
+        # a suspended generator's context would leak into its caller between
+        # yields and after an early close.
+        with _exact_int_rendering(), localcontext(EXACT_DECIMAL):
             return args.func(args)
     except (CommandError, ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -71,6 +71,10 @@ def cases():
         yield ["crosscheck", "--max-n", "20", "--digits", "6"] + fmt
         yield ["deriv", "3", "2.0", "--check", "1e-3", "1e-4"] + fmt
         yield ["deriv", "1", "2.0", "--check", "1e-4", "1e-6"] + fmt
+        # an argument below its bound, whatever the format
+        yield ["harmonic", "3", "--digits", "-1"] + fmt
+        yield ["bernoulli2", "3", "--method", "all", "--digits", "-1"] + fmt
+        yield ["crosscheck", "--max-n", "5", "--digits", "-1"] + fmt
     # --digits on every subcommand
     yield ["stirling1", "4", "--digits", "3"]
     yield ["bernoulli2", "4", "--digits", "3"]
@@ -103,6 +107,8 @@ def cases():
         ["deriv", "1", "--check", "1e-4", "1e-6"],
         ["deriv", "7", "3.0", "--check", "1e-3", "1e-4"],
         ["deriv", "6", "3.0", "--check", "1e-60", "1e-6"],
+        ["deriv", "2", "1e-300"],
+        ["deriv", "3", "2.0", "--check", "1e-3", "-1"],
         ["bernoulli2", "x"],
         [],
     )

@@ -58,6 +58,9 @@ def test_evaluate_domain(triangle):
         evaluate_expansion(e, 0.0)
     with pytest.raises(ValueError):
         evaluate_expansion(e, -2.0)
+    # 1e-300 ** 2 underflows to 0.0: the value is beyond float range.
+    with pytest.raises(ValueError, match="beyond float range"):
+        evaluate_expansion(reciprocal_log_derivative_coeffs(2, triangle), 1e-300)
 
 
 def test_central_weights_match_standard_tables():
@@ -102,3 +105,6 @@ def test_finite_difference_domain():
         finite_difference_check(1, 0.5, 1e-4, 1e-6)
     with pytest.raises(ValueError):
         finite_difference_check(1, 2.0, -1e-4, 1e-6)
+    # A negative tolerance is a usage error, not a failed check.
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        finite_difference_check(3, 2.0, 1e-3, -1.0)

@@ -1,15 +1,17 @@
 """CLI contract: outputs, formats, exit codes."""
 
+import contextlib
 import csv
 import decimal
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gregory.cli as cli
@@ -197,6 +199,35 @@ def test_bench_domain(capsys):
     assert code == 1
 
 
+# Each fixed bound the parser declares, one below it: argv, the argument the
+# error line names, and the bound.
+BELOW_BOUND = [
+    (["stirling1", "-1"], "n", 0),
+    (["bernoulli2", "-1"], "n", 0),
+    (["harmonic", "-1"], "n", 0),
+    (["ank", "0", "2"], "n", 1),
+    (["deriv", "0"], "n", 1),
+    (["crosscheck", "--max-n", "1"], "--max-n", 2),
+    (["probe", "--max-n", "1"], "--max-n", 2),
+    (["bench", "--max-n", "1"], "--max-n", 2),
+    (["bench", "--max-n", "3", "--repeat", "0"], "--repeat", 1),
+    (["bernoulli2", "3", "--digits", "-1"], "--digits", 0),
+    (["bernoulli2", "3", "--method", "all", "--digits", "-1"], "--digits", 0),
+    (["harmonic", "3", "--digits", "-1"], "--digits", 0),
+    (["crosscheck", "--max-n", "5", "--digits", "-1"], "--digits", 0),
+]
+
+
+@pytest.mark.parametrize("fmt", ["frac", "json", "csv"])
+@pytest.mark.parametrize(
+    "argv, name, low", BELOW_BOUND, ids=[" ".join(argv) for argv, _, _ in BELOW_BOUND]
+)
+def test_argument_below_its_bound_is_rejected_before_any_output(argv, name, low, fmt, capsys):
+    code, out, err = run(argv + ["--format", fmt], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: argument %s: must be >= %d\n" % (name, low)
+
+
 def test_module_entry_point():
     import subprocess
     import sys
@@ -266,15 +297,26 @@ def test_deriv_beyond_float_range_is_clean_error():
     import subprocess
     import sys
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "gregory", "deriv", "200", "2.0"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    # At order 200 the sum overflows; 1e-300 ** 2 underflows to 0.0, which
+    # must not surface as a bare division by zero.
+    for x_args in (["200", "2.0"], ["2", "1e-300"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gregory", "deriv", *x_args],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "beyond float range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_deriv_check_negative_tol_is_usage_error(capsys):
+    # A negative TOL cannot be met by any residual: exit 1, not a FAIL (exit 2).
+    code, out, err = run(["deriv", "3", "2.0", "--check", "1e-3", "-1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: tol must be >= 0, got -1.0\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -411,6 +453,63 @@ def test_json_output_is_strict_and_exact(argv, capsys):
     assert out == json.dumps(records, indent=2) + "\n"
     for r in records:
         assert {"kind", "n", "k", "method", "value", "decimal"} <= set(r)
+        values = r["value"] if isinstance(r["value"], list) else [r["value"]]
+        assert all(isinstance(v, str) for v in values)
+
+
+def _words(*parts):
+    """The concatenation of drawn word lists."""
+    return st.tuples(*parts).map(lambda lists: [word for words in lists for word in words])
+
+
+def _maybe(words):
+    return st.one_of(st.just([]), words)
+
+
+_N = st.integers(-2, 30).map(lambda n: [str(n)])
+_MAX_N = _N.map(lambda m: ["--max-n", *m])
+_DIGITS = _maybe(st.integers(-2, 40).map(lambda d: ["--digits", str(d)]))
+_FLOAT = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 1e-300]), st.floats()).map(
+    lambda x: [repr(x)]
+)
+
+# argv for every subcommand, with n, k and --max-n in [-2, 30] and --digits
+# in [-2, 40] on the three commands that take it.
+ANY_ARGV = st.one_of(
+    _words(st.just(["stirling1"]), _N, _maybe(_N)),
+    _words(
+        st.just(["bernoulli2"]),
+        _N,
+        _maybe(st.sampled_from([*bernoulli.ROUTES, "all"]).map(lambda m: ["--method", m])),
+        _DIGITS,
+    ),
+    _words(st.just(["harmonic"]), _N, _DIGITS),
+    _words(st.just(["ank"]), _N, _N),
+    _words(st.just(["crosscheck"]), _MAX_N, _DIGITS),
+    _words(st.just(["probe"]), _MAX_N),
+    _words(st.just(["bench"]), _MAX_N, _maybe(st.integers(-1, 2).map(lambda r: ["--repeat", str(r)]))),
+    _words(
+        st.just(["deriv"]), _N, _maybe(_FLOAT), _maybe(_words(st.just(["--check"]), _FLOAT, _FLOAT))
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_ARGV)
+@example(["bernoulli2", "3", "--method", "all", "--digits", "-1"])
+@example(["deriv", "2", "1e-300"])
+@example(["deriv", "3", "2.0", "--check", "1e-3", "-1.0"])
+def test_any_json_run_is_a_clean_error_or_strict_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--format", "json"])
+    out, err = out.getvalue(), err.getvalue()
+    if code == cli.EXIT_USAGE:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert code in (cli.EXIT_OK, cli.EXIT_VERIFY) and err == ""
+    for r in json.loads(out, parse_constant=_reject_constant):
         values = r["value"] if isinstance(r["value"], list) else [r["value"]]
         assert all(isinstance(v, str) for v in values)
 
