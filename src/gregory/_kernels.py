@@ -2,10 +2,11 @@
 products and long division.
 
 Rationals travel as ``(num, den)`` tuples of Python ints with ``den > 0`` and
-``gcd(num, den) == 1``.  The three rational kernels share one exact-sum
-substrate: each scales its inputs to integers over one denominator
+``gcd(num, den) == 1``.  Every exact sum in the package shares one
+substrate: it scales its terms to integers over one denominator
 (:func:`_over_lcm`), adds integers only, and reduces once per output entry
-(:func:`_reduced`).
+(:func:`_reduced`).  The series kernels use it on coefficient lists, and the
+b_n routes and the Stirling column recurrence through :func:`lcm_sum`.
 """
 
 from itertools import accumulate
@@ -13,11 +14,18 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 
-def _over_lcm(pairs):
-    """(ints, L): the pairs as integer numerators over L, the lcm of their
-    denominators."""
-    big = lcm(*(d for _, d in pairs))
-    return [n * (big // d) for n, d in pairs], big
+def _over_lcm(nums, dens):
+    """(ints, L): each nums[i]/dens[i] as an integer numerator over L, the lcm
+    of the denominators.  ``dens`` is read twice, so it must be a sequence."""
+    big = lcm(*dens)
+    return [n * (big // d) for n, d in zip(nums, dens, strict=True)], big
+
+
+def lcm_sum(nums, dens):
+    """(S, L): the sum of nums[i]/dens[i] as the integer S over L = lcm(dens),
+    unreduced; (0, 1) for no terms.  ``dens`` is a sequence of positive ints."""
+    ints, big = _over_lcm(nums, dens)
+    return sum(ints), big
 
 
 def _reduced(num, den):
@@ -85,8 +93,8 @@ def series_mul_pairs(a, b):
     With a = A/La and b = B/Lb scaled to integers, coefficient j is the
     integer sum of A[i] B[j-i] over La*Lb, reduced once.
     """
-    big_a, la = _over_lcm(a)
-    big_b, lb = _over_lcm(b)
+    big_a, la = _over_lcm(*zip(*a))
+    big_b, lb = _over_lcm(*zip(*b))
     return [_reduced(sum(map(mul, big_a[: j + 1], big_b[j::-1])), la * lb) for j in range(len(a))]
 
 
@@ -103,15 +111,14 @@ def series_div_pairs(num, den):
     """
     if den[0][0] == 0:
         raise ZeroDivisionError("leading coefficient of divisor is zero")
-    big_n, ln = _over_lcm(num)
-    big_d, ld = _over_lcm(den)
-    d0 = big_d[0]
+    big_n, ln = _over_lcm(*zip(*num))
+    big_d, ld = _over_lcm(*zip(*den))
     r = ln
     p = []
     q = []
     for j, nj in enumerate(big_n):
         s = nj * ld * (r // ln) - sum(map(mul, p, big_d[j:0:-1]))
-        qn, qd = _reduced(s, r * d0)
+        qn, qd = _reduced(s, r * big_d[0])
         q.append((qn, qd))
         grow = qd // gcd(r, qd)
         if grow > 1:

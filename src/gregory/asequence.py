@@ -7,8 +7,8 @@ numbers through a(n,k) = (-1)^(n+k-1) (k-1)! s(n,k-1), and with the Stirling
 recursion that relation gives the row recursion
 a(n+1,k) = (k-1) a(n,k-1) + n a(n,k), which multiplies by small integers
 only.  The recursion builds whole tables (:func:`a_rows`); the relation gives
-one row from its Stirling row (:func:`a_row`); the nested sums stay around as
-the literal reference for small n.
+one row from its Stirling row (:func:`a_row`, its only writer); the nested
+sums stay around as the literal reference for small n.
 
 Empirically every row rises to a single (possibly flat) peak and then falls;
 that is only a conjecture, so :func:`probe_row` reports the row shape instead
@@ -60,7 +60,11 @@ class ASequence(_RowTable):
 
 def a_row(n: int, s_row) -> list:
     """Row n of the table, [a(n,2), ..., a(n,n+1)], from the Stirling row
-    s(n,0..n); (k-1)! is kept as a running product."""
+    s(n,0..n); (k-1)! is kept as a running product.
+
+    The one place the relation a(n,k) = (-1)^(n+k-1) (k-1)! s(n,k-1) is
+    written: every other reader of it takes its values from here.
+    """
     row = []
     fact = 1  # (k-1)!
     for k in range(2, n + 2):
@@ -106,9 +110,9 @@ def a_nested_sum(n: int, k: int) -> int:
 
 
 def a_from_stirling(n: int, k: int, triangle: StirlingTriangle) -> int:
-    """a(n,k) = (-1)^(n+k-1) (k-1)! s(n,k-1) (production route)."""
+    """a(n,k) from row n of the triangle through :func:`a_row` (production route)."""
     _check_indices(n, k)
-    return (-1) ** (n + k - 1) * factorial(k - 1) * triangle.value(n, k - 1)
+    return a_row(n, triangle.row(n))[k - 2]
 
 
 def a_difference_identity_check(n: int, k: int, triangle: StirlingTriangle) -> bool:

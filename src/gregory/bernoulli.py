@@ -18,7 +18,7 @@ one registry of the routes: every caller that runs "each method" iterates it.
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from . import _kernels
 from .asequence import ASequence, a_row
@@ -42,20 +42,17 @@ __all__ = [
 
 
 def _theorem(n, s_prev):
-    """b_n from s(n-1, 0..n-1), summed as integers over L = lcm(2..n+1): (k+1)
-    and (k+2) are coprime and both at most n+1, so their product divides L."""
-    big_l = lcm(*range(2, n + 2))
-    total = 0
-    for k in range(1, n):
-        term = s_prev[k] * (big_l // ((k + 1) * (k + 2)))
-        total += -term if k & 1 else term
+    """b_n from s(n-1, 0..n-1), one kernel sum over lcm((k+1)(k+2)) = lcm(2..n+1)."""
+    ks = range(1, n)
+    total, big_l = _kernels.lcm_sum(
+        [-s_prev[k] if k & 1 else s_prev[k] for k in ks], [(k + 1) * (k + 2) for k in ks]
+    )
     return Fraction(total, big_l * factorial(n))
 
 
 def _nemes(n, s_row):
-    """b_n from s(n, 0..n), summed as integers over L = lcm(1..n+1)."""
-    big_l = lcm(*range(1, n + 2))
-    total = sum(s * (big_l // (k + 1)) for k, s in enumerate(s_row))
+    """b_n from s(n, 0..n), one kernel sum over lcm(1..n+1)."""
+    total, big_l = _kernels.lcm_sum(s_row, range(1, n + 2))
     return Fraction(total, big_l * factorial(n))
 
 

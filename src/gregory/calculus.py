@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .asequence import a_row
 from .stirling import StirlingTriangle, stirling_row
 
 __all__ = [
@@ -47,8 +48,9 @@ def reciprocal_log_derivative_coeffs(n: int, triangle: StirlingTriangle) -> Deri
 
 
 def expansion_from_row(n: int, s_row) -> DerivativeExpansion:
-    """The expansion of the n-th derivative from the Stirling row s(n, 0..n)."""
-    coeffs = [(k, (-1) ** k * math.factorial(k) * s_row[k]) for k in range(1, n + 1)]
+    """The expansion of the n-th derivative from the Stirling row s(n, 0..n):
+    c_k = (-1)^k k! s(n,k) = (-1)^n a(n,k+1), read from :func:`a_row`."""
+    coeffs = [(k, (-1) ** n * a) for k, a in enumerate(a_row(n, s_row), 1)]
     return DerivativeExpansion(n=n, coeffs=coeffs)
 
 

@@ -11,8 +11,9 @@ kind, n, k, method, value, decimal (plus kind-specific extras); ``--format
 csv`` emits the same values with those six columns.  Records are written as
 they are made, so a row command holds one row at a time.  Exact values are
 printed in full however many digits they have.  Exit codes: 0 success, 1
-usage or domain error, 2 verification failure.  A reader that closes the
-output pipe early ends the command quietly with exit 1.
+usage or domain error (an input too large to allocate included), 2
+verification failure.  A reader that closes the output pipe early ends the
+command quietly with exit 1.
 
 Fixed argument bounds are declared once, in the parser, and checked with
 the rest of argv before any output: n >= 0 for stirling1, bernoulli2 and
@@ -337,9 +338,8 @@ def cmd_bench(args):
 def cmd_deriv(args):
     n = args.n
     expansion = expansion_from_row(n, stirling_row(n))
-    coeff_text = ", ".join("k=%d: %d" % (k, c) for k, c in expansion.coeffs)
     extra = {}
-    lines = [coeff_text]
+    lines = []
     code = EXIT_OK
     if args.check is not None and args.x is None:
         raise CommandError("--check needs an evaluation point x")
@@ -364,6 +364,7 @@ def cmd_deriv(args):
         }
         code = EXIT_OK if result.passed else EXIT_VERIFY
     if args.format == "frac":
+        print(", ".join("k=%d: %d" % (k, c) for k, c in expansion.coeffs))
         for line in lines:
             print(line)
     else:
@@ -507,6 +508,11 @@ def main(argv=None) -> int:
             return args.func(args)
     except (CommandError, ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # An n so large that its first list cannot be allocated
+        # (``bernoulli2 10**15``); the exception carries no message of its own.
+        print("error: out of memory: the input is too large", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         # The reader closed stdout early (``gregory probe ... | head``).  Point

@@ -129,16 +129,16 @@ def stirling_column_recurrence(n: int, k: int, triangle: StirlingTriangle) -> in
     """s(n,k) from column k-1 of the triangle.
 
     Uses (-1)^(n-k) s(n,k)/(n-1)! = sum_{m=k-1}^{n-1} (1/m) *
-    (-1)^(m-k+1) s(m,k-1)/(m-1)!, so only rows up to n-1 are read.
+    (-1)^(m-k+1) s(m,k-1)/(m-1)!, so only rows up to n-1 are read; the sum is
+    one kernel sum over the term denominators m (m-1)! = m!.
     """
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n, got n=%d k=%d" % (n, k))
-    total = Fraction(0)
-    for m in range(k - 1, n):
-        total += Fraction(
-            (-1) ** (m - k + 1) * triangle.value(m, k - 1), m * factorial(m - 1)
-        )
-    return _as_int((-1) ** (n - k) * factorial(n - 1) * total, n, k)
+    ms = range(k - 1, n)
+    total, big_l = _kernels.lcm_sum(
+        [(-1) ** (m - k + 1) * triangle.value(m, k - 1) for m in ms], [factorial(m) for m in ms]
+    )
+    return _as_int(Fraction((-1) ** (n - k) * factorial(n - 1) * total, big_l), n, k)
 
 
 def stirling_closed_form(n: int, k: int) -> int:

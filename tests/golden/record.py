@@ -111,6 +111,9 @@ def cases():
         ["deriv", "3", "2.0", "--check", "1e-3", "-1"],
         ["bernoulli2", "x"],
         [],
+        # an n past what memory holds
+        ["bernoulli2", "1000000000000000"],
+        ["bernoulli2", "1000000000000000", "--format", "json"],
     )
 
 

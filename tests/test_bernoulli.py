@@ -2,6 +2,7 @@
 
 import tracemalloc
 from fractions import Fraction
+from math import factorial, lcm
 
 import pytest
 
@@ -183,18 +184,58 @@ def test_method_report_flags_disagreement():
     assert not r.agree
 
 
-def test_sign_alternation_to_200():
-    b = bernoulli2_series(200)
-    assert b[1] > 0
-    for n in range(1, 201):
-        assert (-1) ** (n + 1) * b[n] > 0
+# Euler's constant truncated to 50 digits, so just below it.
+GAMMA_50 = F("0.57721566490153286060651209008240243104215933593992")
 
 
-def test_magnitude_strictly_decreasing_to_200():
-    # empirical check at desk scale, not a claimed theorem
-    b = bernoulli2_series(200)
-    for n in range(2, 200):
-        assert abs(b[n]) > abs(b[n + 1])
+@pytest.fixture(scope="module", params=sorted(bernoulli.ROUTES))
+def column_300(request):
+    """[b_1, ..., b_300] by one route; b_1 = 1/2 stands in for the routes
+    stated from n = 2 only."""
+    start = max(1, bernoulli.ROUTES[request.param].min_n)
+    return [F(1, 2)] * (start - 1) + bernoulli.bernoulli2_values(request.param, 300, start)
+
+
+def test_sign_alternation_to_300(column_300):
+    assert all((-1) ** (n + 1) * b > 0 for n, b in enumerate(column_300, 1))
+
+
+def test_magnitude_strictly_decreasing_to_300(column_300):
+    # |b_n| is the integral over x > 0 of 1 / ((1+x)^n (pi^2 + ln^2 x)) for
+    # n >= 2, which falls as n grows; and b_1 = 1/2 > |b_2| = 1/12.
+    assert all(abs(b) > abs(c) for b, c in zip(column_300, column_300[1:]))
+
+
+def test_absolute_sum_stays_below_one(column_300):
+    # x/ln(1+x) vanishes at x = -1, so sum_{n>=1} |b_n| = 1 and every partial
+    # sum falls short of it (by 0.1515 at 300).
+    assert 1 - sum(map(abs, column_300)) > 0
+
+
+def test_weighted_absolute_sum_stays_below_gamma(column_300):
+    # sum_{n>=1} |b_n|/n = gamma (the Fontana-Mascheroni series); the partial
+    # sum to 300 falls short of gamma by 5.79e-5, far more than GAMMA_50 does.
+    assert GAMMA_50 - sum(abs(b) / n for n, b in enumerate(column_300, 1)) > 0
+
+
+def test_every_route_agrees_to_300():
+    # The analytic checks cannot see a small error in one b_n; agreement can,
+    # and ank sums off the kernel that nemes and theorem (and, through
+    # _over_lcm, series) share.  The golden corpus stops at crosscheck 200.
+    assert all(r.agree for r in bernoulli2_report(300))
+
+
+def test_gamma_constant_is_truncated_from_sympy():
+    sympy = pytest.importorskip("sympy")
+    gamma = F(str(sympy.N(sympy.EulerGamma, 70)))
+    assert 0 < gamma - GAMMA_50 < F(1, 10**50)
+
+
+def test_denominator_law(column_300):
+    # n! b_n is the integral over [0, 1] of x(x-1)...(x-n+1), a degree-n
+    # polynomial with integer coefficients, so lcm(1..n+1) clears it.
+    for n, b in enumerate(column_300, 1):
+        assert (factorial(n) * lcm(*range(1, n + 2)) * b).denominator == 1
 
 
 @pytest.fixture(scope="module")

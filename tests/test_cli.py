@@ -80,6 +80,14 @@ def test_bernoulli2_all_methods_line(capsys):
     )
 
 
+@pytest.mark.parametrize("fmt", ["frac", "json", "csv"])
+def test_bernoulli2_past_memory_is_a_clean_error(fmt, capsys):
+    # The series route's first list at this order cannot be allocated.
+    code, out, err = run(["bernoulli2", "1000000000000000", "--format", fmt], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: out of memory: the input is too large\n"
+
+
 def test_bernoulli2_theorem_below_stated_domain(capsys):
     code, _, err = run(["bernoulli2", "1", "--method", "theorem"], capsys)
     assert code == 1

@@ -37,3 +37,10 @@ def test_cli_output_matches_recorded_digest(command):
         " ".join(argv) for argv, expected in CORPUS[command] if record.replay(argv) != expected
     ]
     assert changed == [], "%d of %d cases changed" % (len(changed), len(CORPUS[command]))
+
+
+def test_every_listed_case_is_recorded():
+    # A case added to record.cases() but never recorded would be replayed by
+    # no test above.
+    listed = {" ".join(argv) for argv in record.cases()}
+    assert listed == set(json.loads(record.DIGESTS.read_text()))

@@ -1,8 +1,9 @@
 """Kernels against an independent oracle, their (num, den) invariants, and
-property tests of the series product and division against plain Fractions."""
+property tests of the exact sum, the series product and division against
+plain Fractions."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -112,3 +113,16 @@ def test_mul_pairs_is_the_fraction_cauchy_product(case):
     a, b = case
     product = [sum(Fraction(a[i]) * b[j - i] for i in range(j + 1)) for j in range(len(a))]
     assert _kernels.series_mul_pairs(_as_pairs(a), _as_pairs(b)) == _as_pairs(product)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(1, 60)), max_size=20))
+# Always run no terms, negative numerators and repeated denominators.
+@example([])
+@example([(-3, 4), (5, 4), (-7, 6), (0, 6), (1, 1)])
+def test_lcm_sum_is_the_fraction_sum_over_the_lcm(terms):
+    nums = [n for n, _ in terms]
+    dens = [d for _, d in terms]
+    total, big = _kernels.lcm_sum(nums, dens)
+    assert big == lcm(*dens)
+    assert Fraction(total, big) == sum(map(Fraction, nums, dens), Fraction(0))
