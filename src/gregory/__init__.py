@@ -12,100 +12,24 @@ division) live in :mod:`gregory._kernels`; the ``bench`` CLI subcommand times
 every b_n route side by side.
 """
 
-from fractions import Fraction
-
-from .asequence import (
-    ASequence,
-    ProbeReport,
-    a_difference_identity_check,
-    a_from_stirling,
-    a_nested_sum,
-    a_row,
-    a_rows,
-    probe_a_row,
-    probe_row,
-)
-from .bernoulli import (
-    MethodReport,
-    bernoulli2_ank,
-    bernoulli2_nemes,
-    bernoulli2_report,
-    bernoulli2_theorem,
-)
-from .calculus import (
-    DerivativeExpansion,
-    FiniteDifferenceResult,
-    central_difference_weights,
-    evaluate_expansion,
-    expansion_from_row,
-    finite_difference_check,
-    reciprocal_log_derivative_coeffs,
-)
-from .exact import decimal_string, factorial, format_rational, harmonic, parse_rational
-from .series import (
-    TruncatedSeries,
-    bernoulli2_series,
-    log1p_series,
-    series_div,
-    series_mul,
-    series_pow,
-    stirling_gf_coeff,
-)
-from .stirling import (
-    StirlingTriangle,
-    harmonic_from_stirling,
-    stirling_closed_form,
-    stirling_column_recurrence,
-    stirling_nested_sum,
-    stirling_nested_sum_direct,
-    stirling_row,
-    stirling_triangle,
-)
+from . import asequence, bernoulli, calculus, exact, series, stirling
+from .asequence import *  # noqa: F403
+from .bernoulli import *  # noqa: F403
+from .calculus import *  # noqa: F403
+from .exact import *  # noqa: F403
+from .series import *  # noqa: F403
+from .stirling import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of its public names; the package
+# re-exports them in import order.
 __all__ = [
-    "Fraction",
     "__version__",
-    "ASequence",
-    "ProbeReport",
-    "a_difference_identity_check",
-    "a_from_stirling",
-    "a_nested_sum",
-    "a_row",
-    "a_rows",
-    "probe_a_row",
-    "probe_row",
-    "MethodReport",
-    "bernoulli2_ank",
-    "bernoulli2_nemes",
-    "bernoulli2_report",
-    "bernoulli2_theorem",
-    "DerivativeExpansion",
-    "FiniteDifferenceResult",
-    "central_difference_weights",
-    "evaluate_expansion",
-    "expansion_from_row",
-    "finite_difference_check",
-    "reciprocal_log_derivative_coeffs",
-    "decimal_string",
-    "factorial",
-    "format_rational",
-    "harmonic",
-    "parse_rational",
-    "TruncatedSeries",
-    "bernoulli2_series",
-    "log1p_series",
-    "series_div",
-    "series_mul",
-    "series_pow",
-    "stirling_gf_coeff",
-    "StirlingTriangle",
-    "harmonic_from_stirling",
-    "stirling_closed_form",
-    "stirling_column_recurrence",
-    "stirling_nested_sum",
-    "stirling_nested_sum_direct",
-    "stirling_row",
-    "stirling_triangle",
+    *asequence.__all__,
+    *bernoulli.__all__,
+    *calculus.__all__,
+    *exact.__all__,
+    *series.__all__,
+    *stirling.__all__,
 ]

@@ -103,6 +103,8 @@ def _nemes_stream(max_n, start):
 
 
 def _theorem_stream(max_n, start):
+    if max_n == 0:  # no row n - 1; stirling_rows refuses a negative max_n
+        return
     for n, s_prev in enumerate(_kernels.stirling_rows(max_n - 1), 1):
         if n >= start:
             yield _theorem(n, s_prev)

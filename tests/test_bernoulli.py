@@ -177,6 +177,19 @@ def test_stream_rejects_start_below_stated_domain(method):
         bernoulli.bernoulli2_values(method, 6, start=min_n - 1)
 
 
+@pytest.mark.parametrize("max_n", [0, 1])
+@pytest.mark.parametrize("method", sorted(bernoulli.ROUTES))
+def test_stream_below_start_is_empty(method, max_n):
+    start = max(2, bernoulli.ROUTES[method].min_n)
+    assert bernoulli.bernoulli2_values(method, max_n, start=start) == []
+
+
+@pytest.mark.parametrize("method", sorted(bernoulli.ROUTES))
+def test_stream_rejects_negative_max_n(method):
+    with pytest.raises(ValueError, match="max_n must be >= 0"):
+        bernoulli.bernoulli2_values(method, -1, start=max(2, bernoulli.ROUTES[method].min_n))
+
+
 def test_method_report_flags_disagreement():
     values = {**dict.fromkeys(bernoulli.ROUTES, F(-1, 12)), "ank": F(1, 12)}
     r = MethodReport.gather(2, values)
