@@ -7,6 +7,8 @@ substrate: it scales its terms to integers over one denominator
 (:func:`_over_lcm`), adds integers only, and reduces once per output entry
 (:func:`_reduced`).  The series kernels use it on coefficient lists, and the
 b_n routes and the Stirling column recurrence through :func:`lcm_sum`.
+:func:`lcm_sum` and series division scale in two levels (:func:`_blocks`), so
+that a large numerator meets a small multiplier.
 """
 
 from itertools import accumulate
@@ -21,11 +23,33 @@ def _over_lcm(nums, dens):
     return [n * (big // d) for n, d in zip(nums, dens, strict=True)], big
 
 
+# Denominators per block of a two-level sum: a block's lcm stays a few
+# machine words, so each weight Lb // d is small.
+_BLOCK = 16
+
+
+def _blocks(dens):
+    """(blocks, L) for L = lcm(dens): one (start, weights, factor) per run
+    dens[start:start + _BLOCK], with weights[i] = Lb // d over the run's own
+    lcm Lb and factor = L // Lb, so that d divides L as (Lb // d) (L // Lb)."""
+    starts = range(0, len(dens), _BLOCK)
+    runs = [dens[start : start + _BLOCK] for start in starts]
+    lcms = [lcm(*run) for run in runs]
+    big = lcm(*lcms)
+    return [(s, [lb // d for d in run], big // lb) for s, run, lb in zip(starts, runs, lcms)], big
+
+
 def lcm_sum(nums, dens):
     """(S, L): the sum of nums[i]/dens[i] as the integer S over L = lcm(dens),
-    unreduced; (0, 1) for no terms.  ``dens`` is a sequence of positive ints."""
-    ints, big = _over_lcm(nums, dens)
-    return sum(ints), big
+    unreduced; (0, 1) for no terms.  ``nums`` and ``dens`` are sequences of
+    one length, ``dens`` of positive ints.
+
+    Each block's numerators are summed against the small weights Lb // d,
+    and each block sum is then scaled once by L // Lb."""
+    if len(nums) != len(dens):
+        raise ValueError("%d numerators for %d denominators" % (len(nums), len(dens)))
+    blocks, big = _blocks(dens)
+    return sum(f * sum(map(mul, nums[b : b + _BLOCK], w)) for b, w, f in blocks), big
 
 
 def _reduced(num, den):
@@ -103,26 +127,34 @@ def series_div_pairs(num, den):
 
     Returns q with (q * den)[j] = num[j] for all j <= len(num) - 1.
 
-    Both lists are scaled to integers, num = N/Ln and den = D/Ld with Ln, Ld
-    the lcms of their denominators.  Every quotient coefficient found so far
-    is held as an integer numerator P[i] over one running denominator R, a
-    multiple of Ln, so that D[0] q[j] = (N[j] Ld R/Ln - sum P[i] D[j-i]) / R
-    is an integer sum with one gcd per coefficient.
+    The dividend is scaled to integers, num = N/Ln.  The divisor's tail
+    den[1:] is cut into blocks (:func:`_blocks`) over L1, the lcm of its
+    denominators, with each numerator folded into its block weight: W[m] =
+    L1 den[m] is the block's factor times a small weight.  Every quotient
+    coefficient found so far is held as an integer numerator P[i] over one
+    running denominator R, a multiple of Ln, and kept newest first, so that
+    each block reads its P[j-m] from one slice.  Then
+    q[j] = (N[j] L1 R/Ln - sum_m P[j-m] W[m]) / (R L1 den[0]) is an integer
+    sum, summed block by block, with one gcd per coefficient.
     """
-    if den[0][0] == 0:
+    (lead_n, lead_d), *tail = den
+    if lead_n == 0:
         raise ZeroDivisionError("leading coefficient of divisor is zero")
     big_n, ln = _over_lcm(*zip(*num))
-    big_d, ld = _over_lcm(*zip(*den))
+    tail_n = [n for n, _ in tail]
+    blocks, l1 = _blocks([d for _, d in tail])
+    blocks = [(b, list(map(mul, tail_n[b : b + _BLOCK], w)), f) for b, w, f in blocks]
     r = ln
-    p = []
+    p = []  # P[j-1], P[j-2], ..., P[0]
     q = []
     for j, nj in enumerate(big_n):
-        s = nj * ld * (r // ln) - sum(map(mul, p, big_d[j:0:-1]))
-        qn, qd = _reduced(s, r * big_d[0])
+        live = blocks[: (j + _BLOCK - 1) // _BLOCK]  # the blocks with start < j
+        s = nj * l1 * (r // ln) - sum(f * sum(map(mul, p[b : b + _BLOCK], w)) for b, w, f in live)
+        qn, qd = _reduced(s * lead_d, r * l1 * lead_n)
         q.append((qn, qd))
         grow = qd // gcd(r, qd)
         if grow > 1:
             r *= grow
             p = [x * grow for x in p]
-        p.append(qn * (r // qd))
+        p.insert(0, qn * (r // qd))
     return q

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import _kernels
-from .asequence import ASequence, a_row
+from .asequence import ASequence, a_row, a_rows
 from .series import bernoulli2_series
 from .stirling import StirlingTriangle
 
@@ -111,13 +111,19 @@ def _theorem_stream(max_n, start):
 
 
 def _ank_stream(max_n, start):
+    if start < max_n:  # a column: the a(n,k) row recursion, small multipliers only
+        rows = enumerate(a_rows(max_n), 1)
+    else:  # one value: rows n-1 and n from the Stirling rows cost less
+        rows = (
+            (n, a_row(n, s_row))
+            for n, s_row in enumerate(_kernels.stirling_rows(max_n))
+            if n >= start - 1
+        )
     a_prev = None
-    for n, s_row in enumerate(_kernels.stirling_rows(max_n)):
-        if n >= start - 1:
-            a_n = a_row(n, s_row)
-            if n >= start:
-                yield _ank(n, a_n, a_prev)
-            a_prev = a_n
+    for n, a_n in rows:
+        if n >= start:
+            yield _ank(n, a_n, a_prev)
+        a_prev = a_n
 
 
 @dataclass(frozen=True)

@@ -147,14 +147,14 @@ def _write_record(rec, fmt):
 
 def cmd_stirling1(args):
     n = args.n
+    if args.k is not None and not 0 <= args.k <= n:
+        raise CommandError("k=%d out of range for n=%d (need 0 <= k <= n)" % (args.k, n))
     s_row = stirling_row(n)
     if args.k is None:
         row = [str(v) for v in s_row]
         return _write_record(
             OutputRecord("stirling1", n, row, row_keys=list(range(n + 1))), args.format
         )
-    if not 0 <= args.k <= n:
-        raise CommandError("k=%d out of range for n=%d (need 0 <= k <= n)" % (args.k, n))
     return _write_record(OutputRecord("stirling1", n, str(s_row[args.k]), k=args.k), args.format)
 
 
@@ -337,12 +337,12 @@ def cmd_bench(args):
 
 def cmd_deriv(args):
     n = args.n
+    if args.check is not None and args.x is None:
+        raise CommandError("--check needs an evaluation point x")
     expansion = expansion_from_row(n, stirling_row(n))
     extra = {}
     lines = []
     code = EXIT_OK
-    if args.check is not None and args.x is None:
-        raise CommandError("--check needs an evaluation point x")
     if args.x is not None:
         value = evaluate_expansion(expansion, args.x)
         lines.append("value at x=%r: %.12g" % (args.x, value))

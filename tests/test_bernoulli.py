@@ -153,6 +153,25 @@ def test_single_value_reads_b_n_alone_from_tables_built_to_n(monkeypatch):
         assert built_to == [rows_max_n]
 
 
+def test_the_two_ank_feeds_agree(monkeypatch):
+    # A column of ank (start < max_n) reads the a(n,k) row recursion and no
+    # Stirling row; one value reads a(n,.) and a(n-1,.) from Stirling rows.
+    # At N = 2 the default start is N, so both sides are the one-value feed.
+    built_to = []
+    real_rows = bernoulli._kernels.stirling_rows
+    monkeypatch.setattr(
+        bernoulli._kernels,
+        "stirling_rows",
+        lambda max_n: built_to.append(max_n) or real_rows(max_n),
+    )
+    for n in range(2, 81):
+        built_to.clear()
+        column = bernoulli.bernoulli2_values("ank", n)
+        assert built_to == ([] if n > 2 else [2])
+        assert column[-1] == bernoulli.bernoulli2_values("ank", n, start=n)[0]
+        assert built_to[-1] == n
+
+
 def test_single_value_holds_rows_not_tables():
     # b_300 alone: a route holds at most two rows, never a triangle or table.
     tracemalloc.start()

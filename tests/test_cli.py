@@ -278,6 +278,22 @@ def test_deriv_check_requires_x(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stirling1", "2500", "-1"], "error: k=-1 out of range for n=2500 (need 0 <= k <= n)"),
+        (["deriv", "2500", "--check", "0.1", "0.1"], "error: --check needs an evaluation point x"),
+    ],
+)
+def test_usage_error_comes_before_the_row_is_built(argv, message, capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("stirling_row(%d) built for a usage error" % n)
+
+    monkeypatch.setattr(cli, "stirling_row", refuse)
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (1, "", message + "\n")
+
+
 def test_deriv_check_reports_the_stencil_error_floor(capsys):
     # An order-2 stencil for f^(6) in double precision cannot reach 1e-4 at
     # h = 1e-3: the floor says so, and the exit code stays 2.

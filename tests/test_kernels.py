@@ -59,19 +59,25 @@ def test_div_rejects_zero_leading_coefficient():
         _kernels.series_div_pairs([(1, 1)], [(0, 1)])
 
 
-_coeff = st.fractions(min_value=-40, max_value=40, max_denominator=36)
+# Every fraction with denominator <= 36 and |value| <= 40, and more; built
+# from two integers because st.fractions draws about six times slower.
+_coeff = st.builds(Fraction, st.integers(-40 * 36, 40 * 36), st.integers(1, 36))
 _lead = _coeff.filter(bool)
+# Enough terms to cross three seams of the kernels' block sums.
+_SEAMS = 3 * _kernels._BLOCK + 2
+
+
+def _as_pairs(coeffs):
+    return [(c.numerator, c.denominator) for c in map(Fraction, coeffs)]
 
 
 @st.composite
 def _division(draw):
     """(num, den) coefficient lists of one length; den has a nonzero lead."""
-    size = draw(st.integers(1, 12))
+    size = draw(st.integers(1, _SEAMS))
     num = draw(st.lists(_coeff, min_size=size, max_size=size))
     den = [draw(_lead)] + draw(st.lists(_coeff, min_size=size - 1, max_size=size - 1))
-    return [(c.numerator, c.denominator) for c in num], [
-        (c.numerator, c.denominator) for c in den
-    ]
+    return _as_pairs(num), _as_pairs(den)
 
 
 @settings(max_examples=200, deadline=None)
@@ -79,6 +85,20 @@ def _division(draw):
 # Always run a negative lead with non-unit denominators and zero coefficients.
 @example(([(0, 1), (3, 4), (0, 1), (-5, 6)], [(-2, 3), (0, 1), (7, 10), (1, 9)]))
 @example(([(1, 1)], [(-1, 7)]))
+# A lead denominator (7) that divides no other denominator of the divisor.
+@example(
+    (
+        _as_pairs([1] + [0] * (_SEAMS - 1)),
+        _as_pairs([Fraction(2, 7)] + [Fraction((-1) ** m, m % 6 + 1) for m in range(1, _SEAMS)]),
+    )
+)
+# Non-unit numerators in every coefficient of the divisor.
+@example(
+    (
+        _as_pairs([Fraction(m - 3, 2 * m + 1) for m in range(_SEAMS)]),
+        _as_pairs([Fraction(-3, 4)] + [Fraction(2 * m + 3, m % 5 + 2) for m in range(1, _SEAMS)]),
+    )
+)
 def test_div_pairs_are_normalized_and_invert_mul(case):
     num, den = case
     q = _kernels.series_div_pairs(num, den)
@@ -88,10 +108,6 @@ def test_div_pairs_are_normalized_and_invert_mul(case):
         assert gcd(qn, qd) == 1
         assert qn or qd == 1
     assert _kernels.series_mul_pairs(q, den) == num
-
-
-def _as_pairs(coeffs):
-    return [(c.numerator, c.denominator) for c in map(Fraction, coeffs)]
 
 
 @st.composite
@@ -116,13 +132,20 @@ def test_mul_pairs_is_the_fraction_cauchy_product(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(1, 60)), max_size=20))
+@given(st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(1, 60)), max_size=_SEAMS))
 # Always run no terms, negative numerators and repeated denominators.
 @example([])
 @example([(-3, 4), (5, 4), (-7, 6), (0, 6), (1, 1)])
+# Always cross three block seams.
+@example([((-1) ** i * (i + 1) ** 20, i % 60 + 1) for i in range(_SEAMS)])
 def test_lcm_sum_is_the_fraction_sum_over_the_lcm(terms):
     nums = [n for n, _ in terms]
     dens = [d for _, d in terms]
     total, big = _kernels.lcm_sum(nums, dens)
     assert big == lcm(*dens)
     assert Fraction(total, big) == sum(map(Fraction, nums, dens), Fraction(0))
+
+
+def test_lcm_sum_rejects_unpaired_terms():
+    with pytest.raises(ValueError):
+        _kernels.lcm_sum([1, 2], [3])
