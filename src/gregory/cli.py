@@ -8,7 +8,11 @@ route registry :data:`gregory.bernoulli.ROUTES`.
 Output contract: ``--format frac`` prints human-readable text with exact
 fractions; ``--format json`` emits one object per record with the keys
 kind, n, k, method, value, decimal (plus kind-specific extras); ``--format
-csv`` emits the same values with those six columns.  Records are written as
+csv`` emits the same values with those six columns.  One writer,
+:func:`emit`, writes all three formats: a command builds records and hands
+them over, with a frac line function where its frac layout is its own.
+``bench`` is the exception, because its csv columns and its frac table with a
+header are not records of the six-column contract.  Records are written as
 they are made, so a row command holds one row at a time.  Exact values are
 printed in full however many digits they have.  Exit codes: 0 success, 1
 usage or domain error (an input too large to allocate included), 2
@@ -95,11 +99,22 @@ def _csv_line(fields):
     return ",".join(map(_csv_field, fields)) + "\n"
 
 
-def emit(records, fmt):
-    """Write each record of an iterable as soon as it is made.
+def _frac_text(rec):
+    """A record's frac line: the value (a row joined by spaces), then
+    " " + decimal when one is set."""
+    text = " ".join(rec.value) if isinstance(rec.value, list) else rec.value
+    return "%s\n" % text if rec.decimal is None else "%s %s\n" % (text, rec.decimal)
 
-    The JSON text is the one ``json.dump(list, indent=2)`` gives for the whole
-    list, the CSV text the one ``csv.writer`` gives with ``lineterminator="\\n"``.
+
+def emit(records, fmt, frac=_frac_text):
+    """Write each record of an iterable as soon as it is made, in any format.
+
+    In frac each record is the text ``frac(record)`` gives, newline included,
+    written at once.  The JSON text is the one ``json.dump(list, indent=2)``
+    gives for the whole list, the CSV text the one ``csv.writer`` gives with
+    ``lineterminator="\\n"``.  Every command writes through here except
+    ``bench``, whose csv columns (backend, method, max_n, repeat, median_s)
+    and frac table with a header are its own.
     """
     out = sys.stdout
     if fmt == "json":
@@ -124,22 +139,12 @@ def emit(records, fmt):
             else:
                 out.write(_csv_line([r.kind, r.n, r.k, r.method, r.value, r.decimal]))
     else:
-        raise AssertionError("emit() only handles machine formats")
+        for r in records:
+            out.write(frac(r))
 
 
 def _maybe_decimal(value, digits):
     return decimal_string(value, digits) if digits is not None else None
-
-
-def _write_record(rec, fmt):
-    """Write a one-record command's output: in frac the value (a row joined
-    by spaces), then " " + decimal when one is set; otherwise through emit."""
-    if fmt == "frac":
-        text = " ".join(rec.value) if isinstance(rec.value, list) else rec.value
-        print(text if rec.decimal is None else "%s %s" % (text, rec.decimal))
-    else:
-        emit([rec], fmt)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- commands
@@ -151,11 +156,11 @@ def cmd_stirling1(args):
         raise CommandError("k=%d out of range for n=%d (need 0 <= k <= n)" % (args.k, n))
     s_row = stirling_row(n)
     if args.k is None:
-        row = [str(v) for v in s_row]
-        return _write_record(
-            OutputRecord("stirling1", n, row, row_keys=list(range(n + 1))), args.format
-        )
-    return _write_record(OutputRecord("stirling1", n, str(s_row[args.k]), k=args.k), args.format)
+        rec = OutputRecord("stirling1", n, [str(v) for v in s_row], row_keys=range(n + 1))
+    else:
+        rec = OutputRecord("stirling1", n, str(s_row[args.k]), k=args.k)
+    emit([rec], args.format)
+    return EXIT_OK
 
 
 def _write_reports(reports, kind, args, summary=None):
@@ -163,11 +168,12 @@ def _write_reports(reports, kind, args, summary=None):
     agree=yes|NO' per n, otherwise one record per route and n; then the
     summary, if any.  Exit 0 when every n agrees, else 2."""
     if args.format == "frac":
-        for r in reports:
+
+        def line(r):
             values = " ".join("%s=%s" % (m, format_rational(v)) for m, v in r.values.items())
-            print("n=%d %s agree=%s" % (r.n, values, "yes" if r.agree else "NO"))
-        if summary is not None:
-            print(summary)
+            return "n=%d %s agree=%s" % (r.n, values, "yes" if r.agree else "NO")
+
+        records = (OutputRecord(kind, r.n, line(r)) for r in reports)
     else:
         records = (
             OutputRecord(
@@ -181,8 +187,8 @@ def _write_reports(reports, kind, args, summary=None):
             for r in reports
             for method, value in r.values.items()
         )
-        tail = [] if summary is None else [OutputRecord(kind, None, summary, method="summary")]
-        emit(itertools.chain(records, tail), args.format)
+    tail = [] if summary is None else [OutputRecord(kind, None, summary, method="summary")]
+    emit(itertools.chain(records, tail), args.format)
     return EXIT_OK if all(r.agree for r in reports) else EXIT_VERIFY
 
 
@@ -206,7 +212,8 @@ def cmd_bernoulli2(args):
         decimal=_maybe_decimal(value, args.digits),
         method=args.method,
     )
-    return _write_record(rec, args.format)
+    emit([rec], args.format)
+    return EXIT_OK
 
 
 def cmd_harmonic(args):
@@ -214,7 +221,8 @@ def cmd_harmonic(args):
     rec = OutputRecord(
         "harmonic", args.n, format_rational(value), decimal=_maybe_decimal(value, args.digits)
     )
-    return _write_record(rec, args.format)
+    emit([rec], args.format)
+    return EXIT_OK
 
 
 def cmd_ank(args):
@@ -222,7 +230,8 @@ def cmd_ank(args):
     if not 2 <= k <= n + 1:
         raise CommandError("k=%d out of range for n=%d (need 2 <= k <= n+1)" % (k, n))
     value = a_row(n, stirling_row(n))[k - 2]
-    return _write_record(OutputRecord("a_nk", n, str(value), k=k), args.format)
+    emit([OutputRecord("a_nk", n, str(value), k=k)], args.format)
+    return EXIT_OK
 
 
 def cmd_crosscheck(args):
@@ -236,7 +245,7 @@ def cmd_probe(args):
     unimodal = 0
     not_increasing = []
 
-    def reports():
+    def records():
         # Each a-row is probed and written as it streams; only row n-1 is kept.
         # The rows are Decimals, which print in linear time; they are exact
         # because main runs every command in EXACT_DECIMAL.
@@ -248,52 +257,40 @@ def cmd_probe(args):
             unimodal += r.is_unimodal
             if not r.increasing_in_n_ok:
                 not_increasing.append(str(n))
-            yield r
-
-    def summary():
-        return "unimodal rows: %d/%d" % (unimodal, args.max_n)
-
-    if args.format == "frac":
-        for r in reports():
-            print(
-                "n=%d row=[%s] peaks=%s unimodal=%s increasing=%s"
-                % (
-                    r.n,
-                    ", ".join(map(str, r.row)),
-                    r.peak_indices,
-                    "yes" if r.is_unimodal else "NO",
-                    "ok" if r.increasing_in_n_ok else "NO",
-                )
-            )
-        print(summary())
-        print(
-            "increasing_in_n: %s"
-            % ("FAIL at n=%s" % ",".join(not_increasing) if not_increasing else "OK")
-        )
-    else:
-
-        def records():
-            for r in reports():
-                yield OutputRecord(
-                    "probe",
-                    r.n,
-                    [str(v) for v in r.row],
-                    row_keys=range(2, r.n + 2),
-                    extra={
-                        "peaks": r.peak_indices,
-                        "unimodal": r.is_unimodal,
-                        "increasing_in_n": r.increasing_in_n_ok,
-                    },
-                )
             yield OutputRecord(
                 "probe",
-                None,
-                summary(),
-                method="summary",
-                extra={"increasing_in_n": not not_increasing},
+                n,
+                [str(v) for v in r.row],
+                row_keys=range(2, n + 2),
+                extra={
+                    "peaks": r.peak_indices,
+                    "unimodal": r.is_unimodal,
+                    "increasing_in_n": r.increasing_in_n_ok,
+                },
             )
+        yield OutputRecord(
+            "probe",
+            None,
+            "unimodal rows: %d/%d" % (unimodal, args.max_n),
+            method="summary",
+            extra={"increasing_in_n": not not_increasing},
+        )
 
-        emit(records(), args.format)
+    def frac(rec):
+        if rec.n is None:
+            return "%s\nincreasing_in_n: %s\n" % (
+                rec.value,
+                "FAIL at n=%s" % ",".join(not_increasing) if not_increasing else "OK",
+            )
+        return "n=%d row=[%s] peaks=%s unimodal=%s increasing=%s\n" % (
+            rec.n,
+            ", ".join(rec.value),
+            rec.extra["peaks"],
+            "yes" if rec.extra["unimodal"] else "NO",
+            "ok" if rec.extra["increasing_in_n"] else "NO",
+        )
+
+    emit(records(), args.format, frac)
     return EXIT_OK
 
 
@@ -335,26 +332,34 @@ def cmd_bench(args):
     return EXIT_OK if agree else EXIT_VERIFY
 
 
+def _deriv_frac(rec):
+    """deriv's frac text: 'k=1: c1, k=2: c2, ...', then the value at x and
+    the check, when they were asked for."""
+    text = ", ".join("k=%d: %s" % kc for kc in zip(rec.row_keys, rec.value)) + "\n"
+    if "x" in rec.extra:
+        text += "value at x=%r: %.12g\n" % (rec.extra["x"], rec.extra["value_at_x"])
+    check = rec.extra.get("check")
+    if check is not None:
+        verdict = "PASS" if check["passed"] else "FAIL"
+        text += "check: residual=%.3e floor=%.3e tol=%g %s\n" % (
+            check["residual"], check["floor"], check["tol"], verdict
+        )
+    return text
+
+
 def cmd_deriv(args):
     n = args.n
     if args.check is not None and args.x is None:
         raise CommandError("--check needs an evaluation point x")
     expansion = expansion_from_row(n, stirling_row(n))
     extra = {}
-    lines = []
     code = EXIT_OK
     if args.x is not None:
-        value = evaluate_expansion(expansion, args.x)
-        lines.append("value at x=%r: %.12g" % (args.x, value))
         extra["x"] = args.x
-        extra["value_at_x"] = value
+        extra["value_at_x"] = evaluate_expansion(expansion, args.x)
     if args.check is not None:
         h, tol = args.check
         result = finite_difference_check(n, args.x, h, tol)
-        lines.append(
-            "check: residual=%.3e floor=%.3e tol=%g %s"
-            % (result.residual, result.floor, tol, "PASS" if result.passed else "FAIL")
-        )
         extra["check"] = {
             "h": h,
             "tol": tol,
@@ -363,23 +368,14 @@ def cmd_deriv(args):
             "passed": result.passed,
         }
         code = EXIT_OK if result.passed else EXIT_VERIFY
-    if args.format == "frac":
-        print(", ".join("k=%d: %d" % (k, c) for k, c in expansion.coeffs))
-        for line in lines:
-            print(line)
-    else:
-        emit(
-            [
-                OutputRecord(
-                    "deriv_coeffs",
-                    n,
-                    [str(c) for _, c in expansion.coeffs],
-                    row_keys=[k for k, _ in expansion.coeffs],
-                    extra=extra,
-                )
-            ],
-            args.format,
-        )
+    rec = OutputRecord(
+        "deriv_coeffs",
+        n,
+        [str(c) for _, c in expansion.coeffs],
+        row_keys=[k for k, _ in expansion.coeffs],
+        extra=extra,
+    )
+    emit([rec], args.format, _deriv_frac)
     return code
 
 

@@ -144,6 +144,65 @@ def test_probe(capsys):
     assert "increasing_in_n: OK" in out
 
 
+def _failing_a_rows(max_n, one):
+    """Three rows that real a(n,k) never give: row 2 shrinks against row 1,
+    row 3 has two separated maxima."""
+    assert max_n == 3
+    for row in ([5], [4, 6], [8, 7, 8]):
+        yield [one * v for v in row]
+
+
+def test_probe_reports_shrinking_and_two_peaked_rows(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "a_rows", _failing_a_rows)
+    code, out, _ = run(["probe", "--max-n", "3"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "n=1 row=[5] peaks=[2] unimodal=yes increasing=ok",
+        "n=2 row=[4, 6] peaks=[3] unimodal=yes increasing=NO",
+        "n=3 row=[8, 7, 8] peaks=[2, 4] unimodal=NO increasing=ok",
+        "unimodal rows: 2/3",
+        "increasing_in_n: FAIL at n=2",
+    ]
+
+    code, out, _ = run(["probe", "--max-n", "3", "--format", "json"], capsys)
+    assert code == 0
+    records = json.loads(out)
+    assert [(r["unimodal"], r["increasing_in_n"]) for r in records[:3]] == [
+        (True, True), (True, False), (False, True)
+    ]
+    assert records[3] == {
+        "kind": "probe", "n": None, "k": None, "method": "summary",
+        "value": "unimodal rows: 2/3", "decimal": None, "increasing_in_n": False,
+    }
+
+    code, out, _ = run(["probe", "--max-n", "3", "--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "probe,,,summary,unimodal rows: 2/3,"
+
+
+@pytest.mark.parametrize("argv", [
+    ["stirling1", "5"],
+    ["bernoulli2", "5", "--digits", "3"],
+    ["bernoulli2", "5", "--method", "all"],
+    ["harmonic", "5"],
+    ["ank", "5", "3"],
+    ["crosscheck", "--max-n", "6"],
+    ["probe", "--max-n", "5"],
+    ["deriv", "3", "2.0", "--check", "1e-3", "1e-4"],
+])
+def test_only_emit_writes_frac_output(argv, capsys, monkeypatch):
+    # bench, whose table has columns of its own, is the one command that
+    # prints its frac output itself.
+    def stderr_only(*args, **kwargs):
+        assert kwargs.get("file") is sys.stderr, "print to stdout: %r" % (args,)
+        print(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "print", stderr_only, raising=False)
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out
+
+
 def test_bench_default_has_four_method_rows(capsys):
     code, out, _ = run(["bench", "--max-n", "5", "--repeat", "1"], capsys)
     assert code == 0
