@@ -1,7 +1,8 @@
 """Closed-form n-th derivative of 1/ln x and its numeric verification.
 
-The exact part never touches floats: the expansion coefficients are
-c_k = (-1)^k k! s(n,k), giving
+The exact part never touches floats: the expansion is the list
+[c_1, ..., c_n] of coefficients c_k = (-1)^k k! s(n,k), so k is the index
+plus one and n is the length, giving
 
     (d/dx)^n (1/ln x) = x^(-n) * sum_{k=1}^{n} c_k (1/ln x)^(k+1).
 
@@ -20,7 +21,6 @@ from .asequence import a_row
 from .stirling import StirlingTriangle, stirling_row
 
 __all__ = [
-    "DerivativeExpansion",
     "FiniteDifferenceResult",
     "reciprocal_log_derivative_coeffs",
     "expansion_from_row",
@@ -32,30 +32,22 @@ __all__ = [
 MAX_CHECK_ORDER = 6
 
 
-@dataclass
-class DerivativeExpansion:
-    """n and the coefficient list [(k, c_k)] with c_k = (-1)^k k! s(n,k)."""
-
-    n: int
-    coeffs: list
-
-
-def reciprocal_log_derivative_coeffs(n: int, triangle: StirlingTriangle) -> DerivativeExpansion:
-    """Exact expansion coefficients of the n-th derivative of 1/ln x."""
+def reciprocal_log_derivative_coeffs(n: int, triangle: StirlingTriangle) -> list:
+    """Exact expansion coefficients [c_1..c_n] of the n-th derivative of 1/ln x."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return expansion_from_row(n, triangle.row(n))
 
 
-def expansion_from_row(n: int, s_row) -> DerivativeExpansion:
-    """The expansion of the n-th derivative from the Stirling row s(n, 0..n):
-    c_k = (-1)^k k! s(n,k) = (-1)^n a(n,k+1), read from :func:`a_row`."""
-    coeffs = [(k, (-1) ** n * a) for k, a in enumerate(a_row(n, s_row), 1)]
-    return DerivativeExpansion(n=n, coeffs=coeffs)
+def expansion_from_row(n: int, s_row) -> list:
+    """The expansion [c_1..c_n] of the n-th derivative from the Stirling row
+    s(n, 0..n): c_k = (-1)^k k! s(n,k) = (-1)^n a(n,k+1), read from :func:`a_row`."""
+    return [(-1) ** n * a for a in a_row(n, s_row)]
 
 
-def evaluate_expansion(e: DerivativeExpansion, x: float) -> float:
-    """Evaluate the expansion at finite x > 0, x != 1 (1/ln x has a pole at 1).
+def evaluate_expansion(coeffs, x: float) -> float:
+    """Evaluate the expansion [c_1..c_n] at finite x > 0, x != 1 (1/ln x has a
+    pole at 1).
 
     Raises ValueError when a term or the result does not fit in a float.
     """
@@ -65,13 +57,14 @@ def evaluate_expansion(e: DerivativeExpansion, x: float) -> float:
         raise ValueError("x must be positive")
     if x == 1:
         raise ValueError("x = 1 is the pole of 1/ln x")
+    n = len(coeffs)
     u = 1.0 / math.log(x)
     try:
-        value = math.fsum(c * u ** (k + 1) for k, c in e.coeffs) / x ** e.n
+        value = math.fsum(c * u ** (k + 1) for k, c in enumerate(coeffs, 1)) / x ** n
     except (OverflowError, ZeroDivisionError):  # x ** n overflowed or underflowed
         value = math.inf
     if not math.isfinite(value):
-        raise ValueError("derivative of order %d at x=%r is beyond float range" % (e.n, x))
+        raise ValueError("derivative of order %d at x=%r is beyond float range" % (n, x))
     return value
 
 

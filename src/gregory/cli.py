@@ -351,12 +351,12 @@ def cmd_deriv(args):
     n = args.n
     if args.check is not None and args.x is None:
         raise CommandError("--check needs an evaluation point x")
-    expansion = expansion_from_row(n, stirling_row(n))
+    coeffs = expansion_from_row(n, stirling_row(n))
     extra = {}
     code = EXIT_OK
     if args.x is not None:
         extra["x"] = args.x
-        extra["value_at_x"] = evaluate_expansion(expansion, args.x)
+        extra["value_at_x"] = evaluate_expansion(coeffs, args.x)
     if args.check is not None:
         h, tol = args.check
         result = finite_difference_check(n, args.x, h, tol)
@@ -371,8 +371,8 @@ def cmd_deriv(args):
     rec = OutputRecord(
         "deriv_coeffs",
         n,
-        [str(c) for _, c in expansion.coeffs],
-        row_keys=[k for k, _ in expansion.coeffs],
+        [str(c) for c in coeffs],
+        row_keys=range(1, n + 1),
         extra=extra,
     )
     emit([rec], args.format, _deriv_frac)

@@ -9,14 +9,10 @@ decimal context in which integer rows may be held as ``Decimal`` for printing.
 
 import decimal
 from fractions import Fraction
-from math import factorial
 
 __all__ = [
-    "Fraction",
-    "factorial",
     "harmonic",
     "format_rational",
-    "parse_rational",
     "decimal_string",
     "EXACT_DECIMAL",
 ]
@@ -51,27 +47,23 @@ def format_rational(q) -> str:
     return str(Fraction(q))
 
 
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`; raises ValueError on junk."""
-    return Fraction(text.strip())
-
-
 def decimal_string(q, digits: int) -> str:
     """Fixed-point decimal expansion of a rational, round-half-even.
 
     ``digits`` is the number of places after the point; 0 gives an integer
-    string.  The sign is dropped when the rounded value is zero.
+    string.  The sign is dropped when the rounded value is zero.  The
+    division and the rendering run in :data:`EXACT_DECIMAL`, so the time
+    grows about linearly with ``digits``, where ``10**digits`` as an int
+    would print in quadratic time.
     """
     if digits < 0:
         raise ValueError("digits must be >= 0")
     q = Fraction(q)
-    shift = 10 ** digits
-    scaled, rem = divmod(abs(q.numerator) * shift, q.denominator)
-    double = 2 * rem
-    if double > q.denominator or (double == q.denominator and scaled % 2 == 1):
-        scaled += 1
-    sign = "-" if q < 0 and scaled > 0 else ""
-    if digits == 0:
-        return sign + str(scaled)
-    whole, frac = divmod(scaled, shift)
-    return "%s%d.%0*d" % (sign, whole, digits, frac)
+    den = decimal.Decimal(q.denominator)  # converted once: int to Decimal is not linear
+    with decimal.localcontext(EXACT_DECIMAL):
+        scaled, rem = divmod(decimal.Decimal(abs(q.numerator)).scaleb(digits), den)
+        double = 2 * rem
+        if double > den or (double == den and scaled % 2 == 1):
+            scaled += 1
+        text = format(scaled.scaleb(-digits), "f")
+    return ("-" if q < 0 and scaled else "") + text

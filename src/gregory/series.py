@@ -1,10 +1,11 @@
 """Truncated formal power series over exact rationals.
 
-A :class:`TruncatedSeries` is a polynomial of fixed order N standing in for a
-power series whose terms above x^N have been discarded.  Arithmetic never
-extends the order: products truncate, and quotients lose exactly the order
-eaten by cancelling the divisor's leading zeros.  This makes the precision of
-every derived coefficient auditable.
+A truncated series is a tuple of exact coefficients c_0..c_N standing in for
+a power series whose terms above x^N have been discarded; its order N is the
+length minus one.  Arithmetic never extends the order: products truncate, and
+quotients lose exactly the order eaten by cancelling the divisor's leading
+zeros.  This makes the precision of every derived coefficient auditable.
+Inputs may hold ints or ``Fraction``s; results hold ``Fraction``s.
 
 The two generating functions computed here are the series of ln(1+x) raised
 to integer powers, whose x^n coefficient times n!/k! is the signed Stirling
@@ -15,12 +16,12 @@ other modules.
 """
 
 from fractions import Fraction
+from itertools import starmap
 from math import factorial
 
 from . import _kernels
 
 __all__ = [
-    "TruncatedSeries",
     "log1p_series",
     "series_mul",
     "series_div",
@@ -30,111 +31,62 @@ __all__ = [
 ]
 
 
-class TruncatedSeries:
-    """Coefficients c_0..c_N of a power series truncated at order N."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        # A Fraction is immutable, so one passed in is kept, not rebuilt.
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
-        if not coeffs:
-            raise ValueError("a series needs at least the constant term")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def valuation(self):
-        """Index of the lowest nonzero coefficient, or None for the zero series."""
-        for j, c in enumerate(self.coeffs):
-            if c:
-                return j
-        return None
-
-    def __getitem__(self, j) -> Fraction:
-        return self.coeffs[j]
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return "TruncatedSeries(%s)" % (list(self.coeffs),)
+def _check(*series):
+    """Every series has at least the constant term, and all have one order."""
+    if not all(series):
+        raise ValueError("a series needs at least the constant term")
+    if len({len(s) for s in series}) > 1:
+        raise ValueError("order mismatch: %d vs %d" % tuple(len(s) - 1 for s in series))
 
 
-def _pairs(s: TruncatedSeries):
-    return [(c.numerator, c.denominator) for c in s.coeffs]
+def _pairs(s):
+    return [(c.numerator, c.denominator) for c in s]
 
 
-def _from_pairs(pairs) -> TruncatedSeries:
-    return TruncatedSeries([Fraction(n, d) for n, d in pairs])
+def _from_pairs(pairs) -> tuple:
+    return tuple(starmap(Fraction, pairs))
 
 
-def log1p_series(order: int) -> TruncatedSeries:
+def log1p_series(order: int) -> tuple:
     """ln(1+x) truncated at the given order: x - x^2/2 + x^3/3 - ..."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return TruncatedSeries(
-        [Fraction(0)] + [Fraction((-1) ** (j + 1), j) for j in range(1, order + 1)]
-    )
+    return (Fraction(0),) + tuple(Fraction((-1) ** (j + 1), j) for j in range(1, order + 1))
 
 
-def one_series(order: int) -> TruncatedSeries:
-    return TruncatedSeries([Fraction(1)] + [Fraction(0)] * order)
-
-
-def x_series(order: int) -> TruncatedSeries:
-    if order < 1:
-        raise ValueError("the monomial x needs order >= 1")
-    return TruncatedSeries([Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1))
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+def series_mul(a, b) -> tuple:
     """Cauchy product truncated at the common order."""
-    if a.order != b.order:
-        raise ValueError("order mismatch: %d vs %d" % (a.order, b.order))
+    _check(a, b)
     return _from_pairs(_kernels.series_mul_pairs(_pairs(a), _pairs(b)))
 
 
-def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
+def series_div(num, den) -> tuple:
     """Power-series quotient.
 
     Common leading zeros of the divisor are cancelled first (the valuation
     shift), which is what removable singularities like x/ln(1+x) at 0 need.
-    The result has order ``num.order - valuation(den)`` and satisfies
-    ``series_mul(result, den) == num`` on the coefficients that survive.
+    The result has order ``len(num) - 1 - v``, with v the index of the
+    divisor's first nonzero coefficient, and satisfies
+    ``series_mul(result, den[v:]) == num[v:]``.
     """
-    if num.order != den.order:
-        raise ValueError("order mismatch: %d vs %d" % (num.order, den.order))
-    v_den = den.valuation()
-    if v_den is None:
+    _check(num, den)
+    v = next((j for j, c in enumerate(den) if c), None)
+    if v is None:
         raise ZeroDivisionError("division by the zero series")
-    v_num = num.valuation()
-    if v_num is not None and v_num < v_den:
+    if any(num[:v]):
         raise ValueError(
-            "no power-series quotient: numerator valuation %d < denominator valuation %d"
-            % (v_num, v_den)
+            "no power-series quotient: the numerator has a nonzero term below x^%d, "
+            "the divisor's valuation" % v
         )
-    if v_den > 0:
-        num = TruncatedSeries(num.coeffs[v_den:])
-        den = TruncatedSeries(den.coeffs[v_den:])
-    return _from_pairs(_kernels.series_div_pairs(_pairs(num), _pairs(den)))
+    return _from_pairs(_kernels.series_div_pairs(_pairs(num[v:]), _pairs(den[v:])))
 
 
-def series_pow(s: TruncatedSeries, k: int) -> TruncatedSeries:
+def series_pow(s, k: int) -> tuple:
     """k-fold truncated product; k = 0 gives the constant-1 series."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    result = one_series(s.order)
+    _check(s)
+    result = (Fraction(1),) + (Fraction(0),) * (len(s) - 1)
     for _ in range(k):
         result = series_mul(result, s)
     return result
@@ -151,7 +103,7 @@ def stirling_gf_coeff(n: int, k: int, order: int) -> Fraction:
     return powered[n] * factorial(n) / factorial(k)
 
 
-def bernoulli2_series(max_n: int):
+def bernoulli2_series(max_n: int) -> list:
     """Bernoulli numbers of the second kind b_0..b_max_n from x/ln(1+x).
 
     The division works at order max_n + 1 so that cancelling the shared
@@ -159,6 +111,5 @@ def bernoulli2_series(max_n: int):
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    order = max_n + 1
-    quotient = series_div(x_series(order), log1p_series(order))
-    return list(quotient.coeffs)
+    x = (0, 1) + (0,) * max_n
+    return list(series_div(x, log1p_series(max_n + 1)))

@@ -20,9 +20,9 @@ def triangle():
 
 
 def test_coefficient_examples(triangle):
-    assert reciprocal_log_derivative_coeffs(1, triangle).coeffs == [(1, -1)]
-    assert reciprocal_log_derivative_coeffs(2, triangle).coeffs == [(1, 1), (2, 2)]
-    assert reciprocal_log_derivative_coeffs(3, triangle).coeffs == [(1, -2), (2, -6), (3, -6)]
+    assert reciprocal_log_derivative_coeffs(1, triangle) == [-1]
+    assert reciprocal_log_derivative_coeffs(2, triangle) == [1, 2]
+    assert reciprocal_log_derivative_coeffs(3, triangle) == [-2, -6, -6]
 
 
 def test_coefficient_domain(triangle):
@@ -34,11 +34,16 @@ def test_coefficient_domain(triangle):
 
 def test_coefficient_signs_and_diagonal(triangle):
     for n in range(1, 51):
-        e = reciprocal_log_derivative_coeffs(n, triangle)
-        for k, c in e.coeffs:
+        coeffs = reciprocal_log_derivative_coeffs(n, triangle)
+        assert len(coeffs) == n
+        for c in coeffs:
             assert c != 0
             assert (c > 0) == ((-1) ** n > 0)
-        assert e.coeffs[-1] == (n, (-1) ** n * math.factorial(n))
+        assert coeffs[-1] == (-1) ** n * math.factorial(n)
+        # c_k = (-1)^k k! s(n,k), with k the index plus one
+        assert coeffs == [
+            (-1) ** k * math.factorial(k) * triangle.value(n, k) for k in range(1, n + 1)
+        ]
 
 
 def test_evaluate_examples(triangle):

@@ -4,12 +4,13 @@ import math
 import random
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gregory import decimal_string, factorial, format_rational, harmonic, parse_rational
+from gregory import decimal_string, format_rational, harmonic
 
 
 def test_factorial_examples():
@@ -65,7 +66,7 @@ def test_format_parse_round_trip_random():
     rng = random.Random(401)
     for _ in range(300):
         q = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
-        assert parse_rational(format_rational(q)) == q
+        assert Fraction(format_rational(q)) == q
 
 
 def test_format_uses_integer_string_for_integers():
@@ -103,6 +104,11 @@ def test_decimal_string_round_half_even(num, den, digits, expected):
 @example(-1, 1000, 2)  # rounds to a zero without sign
 def test_decimal_string_matches_decimal_quantize(num, den, digits):
     q = Fraction(num, den)
+    assert decimal_string(q, digits) == _quantized(q, digits)
+
+
+def _quantized(q, digits):
+    """p/q rounded half-even to the given places by Decimal.quantize."""
     # A run of 0s or 9s in the expansion of p/q is shorter than q has digits,
     # so with this many guard places the first rounding cannot make a tie.
     guard = len(str(q.denominator)) + 2
@@ -113,7 +119,19 @@ def test_decimal_string_matches_decimal_quantize(num, den, digits):
     expected = format(rounded, "f")
     if rounded == 0:
         expected = expected.lstrip("-")
-    assert decimal_string(q, digits) == expected
+    return expected
+
+
+def test_decimal_string_at_200000_places():
+    # Repeating decimals, known digit by digit, and a rational with a
+    # 129-digit denominator against Decimal.quantize.
+    d = 200_000
+    assert decimal_string(Fraction(11, 6), d) == "1.8" + "3" * (d - 1)
+    assert decimal_string(Fraction(-2, 3), d) == "-0." + "6" * (d - 1) + "7"
+    assert decimal_string(Fraction(1, 7), d) == "0." + "142857" * (d // 6) + "14"
+    assert decimal_string(Fraction(22, 7), d) == "3." + "142857" * (d // 6) + "14"
+    q = -harmonic(300)
+    assert decimal_string(q, d) == _quantized(q, d)
 
 
 def test_decimal_string_rejects_negative_digits():
