@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import ge
 
 from . import _kernels
 from .stirling import StirlingTriangle, _RowTable
@@ -164,27 +165,19 @@ def probe_a_row(n: int, row, prev_row=None) -> ProbeReport:
     ``row`` is (a(n,2), ..., a(n,n+1)) and ``prev_row`` is row n-1, or None
     for no growth check.  A row counts as unimodal when it rises weakly to a
     single maximal plateau and falls weakly afterwards; a flat plateau of
-    equal maxima is fine.
+    equal maxima is fine.  That holds exactly when no strict rise follows the
+    first strict fall: the row then rises weakly to that fall and falls
+    weakly after it, so its maxima are one run.
     """
     row = list(row)
     top = max(row)
-    first = row.index(top)
-    last = len(row) - 1 - row[::-1].index(top)
-    # Every index holding top lies in [first, last].
-    peaks = [i + 2 for i in range(first, last + 1) if row[i] == top]
-    plateau_solid = len(peaks) == last - first + 1
-    rising = all(row[i] <= row[i + 1] for i in range(first))
-    falling = all(row[i] >= row[i + 1] for i in range(last, len(row) - 1))
-    unimodal = plateau_solid and rising and falling
-    increasing = prev_row is None or all(
-        row[i] >= prev_row[i] for i in range(len(prev_row))
-    )
+    after_first_fall = itertools.dropwhile(lambda step: step[0] <= step[1], zip(row, row[1:]))
     return ProbeReport(
         n=n,
         row=row,
-        peak_indices=peaks,
-        is_unimodal=unimodal,
-        increasing_in_n_ok=increasing,
+        peak_indices=[k for k, v in enumerate(row, 2) if v == top],
+        is_unimodal=all(b <= a for a, b in after_first_fall),
+        increasing_in_n_ok=prev_row is None or all(map(ge, row, prev_row)),
     )
 
 

@@ -139,7 +139,12 @@ def finite_difference_check(n: int, x: float, h: float, tol: float) -> FiniteDif
     if not math.isfinite(residual):
         raise ValueError("step h=%g too small: the stencil estimate is %r" % (h, estimate))
     moment = sum(w * Fraction(j) ** (n + 2) for j, w in zip(offsets, weights))
-    higher = evaluate_expansion(expansion_from_row(n + 2, stirling_row(n + 2)), x)
+    try:
+        higher = evaluate_expansion(expansion_from_row(n + 2, stirling_row(n + 2)), x)
+    except ValueError:  # it would name order n+2, which the user did not ask for
+        raise ValueError(
+            "the error floor of the order-%d check at x=%r is beyond float range" % (n, x)
+        ) from None
     truncation = abs(float(moment / math.factorial(n + 2)) * h * h * higher)
     roundoff = sys.float_info.epsilon * math.fsum(map(abs, terms)) / h ** n
     return FiniteDifferenceResult(

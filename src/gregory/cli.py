@@ -12,12 +12,17 @@ csv`` emits the same values with those six columns.  One writer,
 :func:`emit`, writes all three formats: a command builds records and hands
 them over, with a frac line function where its frac layout is its own.
 ``bench`` is the exception, because its csv columns and its frac table with a
-header are not records of the six-column contract.  Records are written as
-they are made, so a row command holds one row at a time.  Exact values are
-printed in full however many digits they have.  Exit codes: 0 success, 1
-usage or domain error (an input too large to allocate included), 2
-verification failure.  A reader that closes the output pipe early ends the
-command quietly with exit 1.
+header are not records of the six-column contract.  Every exact rational's
+record comes from :func:`_rational`, which adds the value's decimal under
+``--digits D``: in frac it follows a single value after a space, and each
+route's value in a report line in parentheses (``series=1/24 (0.041667)``).
+Records are written as they are made, so a row command holds one row at a
+time.  Exact values are printed in full however many digits they have.  Exit
+codes: 0 success, 1 usage or domain error (an input too large to allocate
+included), 2 verification failure.  The parser and the commands raise a
+usage or domain error as ValueError, which :func:`main` prints as one
+``error:`` line.  A reader that closes the output pipe early ends the command
+quietly with exit 1.
 
 Fixed argument bounds are declared once, in the parser, and checked with
 the rest of argv before any output: n >= 0 for stirling1, bernoulli2 and
@@ -51,13 +56,9 @@ EXIT_VERIFY = 2
 BACKEND = "python"
 
 
-class CommandError(Exception):
-    """Usage or domain error; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CommandError(message)
+        raise ValueError(message)
 
 
 @dataclass
@@ -127,24 +128,27 @@ def emit(records, fmt, frac=_frac_text):
     elif fmt == "csv":
         out.write(_csv_line(["kind", "n", "k", "method", "value", "decimal"]))
         for r in records:
-            if isinstance(r.value, list):
-                # kind,n,<k>,method,<value>,decimal: the fixed fields once.
-                head = _csv_field(r.kind) + "," + _csv_field(r.n) + ","
-                middle = "," + _csv_field(r.method) + ","
-                tail = "," + _csv_field(r.decimal) + "\n"
-                out.write("".join(
-                    head + _csv_field(kk) + middle + _csv_field(v) + tail
-                    for kk, v in zip(r.row_keys, r.value)
-                ))
-            else:
-                out.write(_csv_line([r.kind, r.n, r.k, r.method, r.value, r.decimal]))
+            # A scalar is a row of one entry: kind,n,<k>,method,<value>,decimal
+            # per entry, with the fixed fields rendered once.
+            is_row = isinstance(r.value, list)
+            keys, values = (r.row_keys, r.value) if is_row else ((r.k,), (r.value,))
+            head = _csv_field(r.kind) + "," + _csv_field(r.n) + ","
+            middle = "," + _csv_field(r.method) + ","
+            tail = "," + _csv_field(r.decimal) + "\n"
+            out.write("".join(
+                head + _csv_field(kk) + middle + _csv_field(v) + tail
+                for kk, v in zip(keys, values)
+            ))
     else:
         for r in records:
             out.write(frac(r))
 
 
-def _maybe_decimal(value, digits):
-    return decimal_string(value, digits) if digits is not None else None
+def _rational(kind, n, value, digits, **fields):
+    """The record of an exact rational: its text, and its decimal to
+    ``digits`` places when --digits was given."""
+    decimal = None if digits is None else decimal_string(value, digits)
+    return OutputRecord(kind, n, format_rational(value), decimal=decimal, **fields)
 
 
 # ---------------------------------------------------------------- commands
@@ -153,7 +157,7 @@ def _maybe_decimal(value, digits):
 def cmd_stirling1(args):
     n = args.n
     if args.k is not None and not 0 <= args.k <= n:
-        raise CommandError("k=%d out of range for n=%d (need 0 <= k <= n)" % (args.k, n))
+        raise ValueError("k=%d out of range for n=%d (need 0 <= k <= n)" % (args.k, n))
     s_row = stirling_row(n)
     if args.k is None:
         rec = OutputRecord("stirling1", n, [str(v) for v in s_row], row_keys=range(n + 1))
@@ -165,28 +169,29 @@ def cmd_stirling1(args):
 
 def _write_reports(reports, kind, args, summary=None):
     """Write MethodReports: in frac one line 'n=N <method>=<b_n> ...
-    agree=yes|NO' per n, otherwise one record per route and n; then the
-    summary, if any.  Exit 0 when every n agrees, else 2."""
+    agree=yes|NO' per n, each b_n followed by ' (<decimal>)' under --digits,
+    otherwise one record per route and n; then the summary, if any.  Exit 0
+    when every n agrees, else 2."""
+
+    def route_records(r):
+        return [
+            _rational(kind, r.n, value, args.digits, method=method, extra={"agree": r.agree})
+            for method, value in r.values.items()
+        ]
+
     if args.format == "frac":
 
+        def entry(rec):
+            text = "%s=%s" % (rec.method, rec.value)
+            return text if rec.decimal is None else "%s (%s)" % (text, rec.decimal)
+
         def line(r):
-            values = " ".join("%s=%s" % (m, format_rational(v)) for m, v in r.values.items())
+            values = " ".join(map(entry, route_records(r)))
             return "n=%d %s agree=%s" % (r.n, values, "yes" if r.agree else "NO")
 
         records = (OutputRecord(kind, r.n, line(r)) for r in reports)
     else:
-        records = (
-            OutputRecord(
-                kind,
-                r.n,
-                format_rational(value),
-                decimal=_maybe_decimal(value, args.digits),
-                method=method,
-                extra={"agree": r.agree},
-            )
-            for r in reports
-            for method, value in r.values.items()
-        )
+        records = (rec for r in reports for rec in route_records(r))
     tail = [] if summary is None else [OutputRecord(kind, None, summary, method="summary")]
     emit(itertools.chain(records, tail), args.format)
     return EXIT_OK if all(r.agree for r in reports) else EXIT_VERIFY
@@ -198,37 +203,26 @@ def cmd_bernoulli2(args):
     need = max(ROUTES[m].min_n for m in methods)
     if n < need:
         instead = " or ".join(m for m, route in ROUTES.items() if route.min_n == 0)
-        raise CommandError(
+        raise ValueError(
             "method %r is stated for n >= %d only; use %s for %s"
             % (args.method, need, instead, ", ".join("b_%d" % j for j in range(need)))
         )
     if args.method == "all":
         return _write_reports(bernoulli2_report(n, start=n), "bernoulli2", args)
     value = bernoulli2_values(args.method, n, start=n)[0]
-    rec = OutputRecord(
-        "bernoulli2",
-        n,
-        format_rational(value),
-        decimal=_maybe_decimal(value, args.digits),
-        method=args.method,
-    )
-    emit([rec], args.format)
+    emit([_rational("bernoulli2", n, value, args.digits, method=args.method)], args.format)
     return EXIT_OK
 
 
 def cmd_harmonic(args):
-    value = harmonic(args.n)
-    rec = OutputRecord(
-        "harmonic", args.n, format_rational(value), decimal=_maybe_decimal(value, args.digits)
-    )
-    emit([rec], args.format)
+    emit([_rational("harmonic", args.n, harmonic(args.n), args.digits)], args.format)
     return EXIT_OK
 
 
 def cmd_ank(args):
     n, k = args.n, args.k
     if not 2 <= k <= n + 1:
-        raise CommandError("k=%d out of range for n=%d (need 2 <= k <= n+1)" % (k, n))
+        raise ValueError("k=%d out of range for n=%d (need 2 <= k <= n+1)" % (k, n))
     value = a_row(n, stirling_row(n))[k - 2]
     emit([OutputRecord("a_nk", n, str(value), k=k)], args.format)
     return EXIT_OK
@@ -350,7 +344,7 @@ def _deriv_frac(rec):
 def cmd_deriv(args):
     n = args.n
     if args.check is not None and args.x is None:
-        raise CommandError("--check needs an evaluation point x")
+        raise ValueError("--check needs an evaluation point x")
     coeffs = expansion_from_row(n, stirling_row(n))
     extra = {}
     code = EXIT_OK
@@ -502,7 +496,7 @@ def main(argv=None) -> int:
         # yields and after an early close.
         with _exact_int_rendering(), localcontext(EXACT_DECIMAL):
             return args.func(args)
-    except (CommandError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:

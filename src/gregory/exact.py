@@ -54,14 +54,21 @@ def decimal_string(q, digits: int) -> str:
     string.  The sign is dropped when the rounded value is zero.  The
     division and the rendering run in :data:`EXACT_DECIMAL`, so the time
     grows about linearly with ``digits``, where ``10**digits`` as an int
-    would print in quadratic time.
+    would print in quadratic time.  Raises ValueError when the numerator
+    shifted by ``digits`` places is past that context's exponent range.
     """
     if digits < 0:
         raise ValueError("digits must be >= 0")
     q = Fraction(q)
     den = decimal.Decimal(q.denominator)  # converted once: int to Decimal is not linear
     with decimal.localcontext(EXACT_DECIMAL):
-        scaled, rem = divmod(decimal.Decimal(abs(q.numerator)).scaleb(digits), den)
+        try:
+            shifted = decimal.Decimal(abs(q.numerator)).scaleb(digits)
+        except decimal.DecimalException:  # the context traps rather than overflow
+            raise ValueError(
+                "%d decimal places are past the Decimal exponent range" % digits
+            ) from None
+        scaled, rem = divmod(shifted, den)
         double = 2 * rem
         if double > den or (double == den and scaled % 2 == 1):
             scaled += 1

@@ -109,6 +109,12 @@ def cases():
         ["deriv", "6", "3.0", "--check", "1e-60", "1e-6"],
         ["deriv", "2", "1e-300"],
         ["deriv", "3", "2.0", "--check", "1e-3", "-1"],
+        # the check's error floor, not the derivative asked for, leaves float range
+        ["deriv", "1", "1e300", "--check", "1e299", "1"],
+        # --digits past the Decimal exponent range
+        ["harmonic", "5", "--digits", "1000000000000000000"],
+        ["bernoulli2", "5", "--digits", "1000000000000000000"],
+        ["crosscheck", "--max-n", "5", "--digits", "1000000000000000000", "--format", "csv"],
         ["bernoulli2", "x"],
         [],
         # an n past what memory holds

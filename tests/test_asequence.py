@@ -201,6 +201,39 @@ def test_probe_detects_bad_shapes():
     assert not r.increasing_in_n_ok
 
 
+def _three_part_unimodal(row):
+    """The plateau/rising/falling rule probe_a_row used to apply, kept as an
+    oracle: the maxima form one run, the row rises weakly up to the first of
+    them and falls weakly after the last."""
+    top = max(row)
+    first = row.index(top)
+    last = len(row) - 1 - row[::-1].index(top)
+    plateau_solid = all(row[i] == top for i in range(first, last + 1))
+    rising = all(row[i] <= row[i + 1] for i in range(first))
+    falling = all(row[i] >= row[i + 1] for i in range(last, len(row) - 1))
+    return plateau_solid and rising and falling
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=9))
+def test_unimodality_matches_the_three_part_rule_on_rows_with_ties(row):
+    report = probe_a_row(len(row), row)
+    assert report.is_unimodal == _three_part_unimodal(row)
+    assert report.peak_indices == [k for k in range(2, len(row) + 2) if row[k - 2] == max(row)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10**30), min_size=1, max_size=12), st.data())
+def test_unimodality_matches_the_three_part_rule_on_decimal_rows(values, data):
+    # Sorting a split of the values builds unimodal rows as often as not.
+    cut = data.draw(st.integers(0, len(values)))
+    if data.draw(st.booleans()):
+        values = sorted(values[:cut]) + sorted(values[cut:], reverse=True)
+    row = [Decimal(v) for v in values]
+    with decimal.localcontext(EXACT_DECIMAL):
+        assert probe_a_row(len(row), row).is_unimodal == _three_part_unimodal(row)
+
+
 def test_last_two_entries_ordering(a_table):
     # a(n,n) >= a(n,n+1) from n = 3 on
     for n in range(3, 31):

@@ -80,6 +80,40 @@ def test_bernoulli2_all_methods_line(capsys):
     )
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (
+        ["bernoulli2", "3", "--method", "all", "--digits", "6"],
+        "n=3 series=1/24 (0.041667) nemes=1/24 (0.041667) theorem=1/24 (0.041667)"
+        " ank=1/24 (0.041667) agree=yes\n",
+    ),
+    (
+        ["crosscheck", "--max-n", "2", "--digits", "3"],
+        "n=2 series=-1/12 (-0.083) nemes=-1/12 (-0.083) theorem=-1/12 (-0.083)"
+        " ank=-1/12 (-0.083) agree=yes\nALL AGREE [2..2]\n",
+    ),
+])
+def test_report_lines_show_each_routes_decimal(argv, expected, capsys):
+    assert run(argv, capsys) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv, out", [
+    # 137 * 10**D passes the largest exponent even where D itself does not.
+    (["harmonic", "5", "--digits", "999999999999999999"], ""),
+    (["harmonic", "5", "--digits", "1000000000000000000"], ""),
+    (["bernoulli2", "5", "--digits", "1000000000000000000"], ""),
+    (["bernoulli2", "5", "--method", "all", "--digits", "1000000000000000000"], ""),
+    # The header is written before the first value is rendered.
+    (
+        ["crosscheck", "--max-n", "5", "--digits", "1000000000000000000", "--format", "csv"],
+        "kind,n,k,method,value,decimal\n",
+    ),
+])
+def test_digits_past_the_decimal_exponent_range_is_a_clean_error(argv, out, capsys):
+    digits = argv[argv.index("--digits") + 1]
+    message = "error: %s decimal places are past the Decimal exponent range\n" % digits
+    assert run(argv, capsys) == (1, out, message)
+
+
 @pytest.mark.parametrize("fmt", ["frac", "json", "csv"])
 def test_bernoulli2_past_memory_is_a_clean_error(fmt, capsys):
     # The series route's first list at this order cannot be allocated.
@@ -393,6 +427,14 @@ def test_deriv_beyond_float_range_is_clean_error():
         assert "beyond float range" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def test_deriv_check_floor_beyond_float_range_names_the_floor(capsys):
+    # f^(1) at 1e300 is a float, but the floor's f^(3) is not: the message
+    # must not name an order that was not asked for.
+    code, out, err = run(["deriv", "1", "1e300", "--check", "1e299", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: the error floor of the order-1 check at x=1e+300 is beyond float range\n"
 
 
 def test_deriv_check_negative_tol_is_usage_error(capsys):

@@ -2,7 +2,7 @@
 
 import math
 import random
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import MAX_EMAX, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import factorial
 
@@ -137,3 +137,13 @@ def test_decimal_string_at_200000_places():
 def test_decimal_string_rejects_negative_digits():
     with pytest.raises(ValueError):
         decimal_string(Fraction(1, 3), -1)
+
+
+@pytest.mark.parametrize("q, digits", [
+    (Fraction(137, 60), MAX_EMAX),  # 137 * 10**MAX_EMAX overflows
+    (Fraction(3, 160), 10**18),
+    (Fraction(-1, 3), 10**19),  # past the shift scaleb accepts at all
+])
+def test_decimal_string_past_the_exponent_range_is_a_value_error(q, digits):
+    with pytest.raises(ValueError, match="past the Decimal exponent range"):
+        decimal_string(q, digits)
