@@ -1,26 +1,30 @@
 """Kernels for the hot loops: the Stirling row recursion, nested sums, series
 products and long division.
 
-Rationals travel as ``(num, den)`` tuples of Python ints with ``den > 0`` and
-``gcd(num, den) == 1``.  Every exact sum in the package shares one
-substrate: it scales its terms to integers over one denominator
-(:func:`_over_lcm`), adds integers only, and reduces once per output entry
-(:func:`_reduced`).  The series kernels use it on coefficient lists, and the
-b_n routes and the Stirling column recurrence through :func:`lcm_sum`.
-:func:`lcm_sum` and series division scale in two levels (:func:`_blocks`), so
-that a large numerator meets a small multiplier.
+Every exact sum in the package shares one substrate: it scales its terms to
+integers over one denominator, adds integers only, and reduces once per
+output entry.  The series kernels take coefficient sequences of ints or
+``Fraction``s, scale each through :func:`_over_lcm`, and return a list of
+``Fraction``s, each built once from its integer sum.  The nested sum table
+returns ``(num, den)`` tuples of Python ints with ``den > 0`` and
+``gcd(num, den) == 1``, reduced through :func:`_reduced`.  The b_n routes and
+the Stirling column recurrence sum through :func:`lcm_sum`.  :func:`lcm_sum`
+and series division scale in two levels (:func:`_blocks`), so that a large
+numerator meets a small multiplier.
 """
 
+from fractions import Fraction
 from itertools import accumulate
 from math import factorial, gcd, lcm
 from operator import mul
 
 
-def _over_lcm(nums, dens):
-    """(ints, L): each nums[i]/dens[i] as an integer numerator over L, the lcm
-    of the denominators.  ``dens`` is read twice, so it must be a sequence."""
-    big = lcm(*dens)
-    return [n * (big // d) for n, d in zip(nums, dens, strict=True)], big
+def _over_lcm(coeffs):
+    """(ints, L): each int or ``Fraction`` coefficient as an integer numerator
+    over L, the lcm of the denominators.  ``coeffs`` is read twice, so it
+    must be a sequence."""
+    big = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (big // c.denominator) for c in coeffs], big
 
 
 # Denominators per block of a two-level sum: a block's lcm stays a few
@@ -112,20 +116,23 @@ def nested_sum_table(max_depth, max_top):
 
 
 def series_mul_pairs(a, b):
-    """Cauchy product of two equal-length coefficient lists of (num, den) pairs.
+    """Cauchy product of two equal-length coefficient sequences of ints or
+    ``Fraction``s, as a list of ``Fraction``s.
 
     With a = A/La and b = B/Lb scaled to integers, coefficient j is the
     integer sum of A[i] B[j-i] over La*Lb, reduced once.
     """
-    big_a, la = _over_lcm(*zip(*a))
-    big_b, lb = _over_lcm(*zip(*b))
-    return [_reduced(sum(map(mul, big_a[: j + 1], big_b[j::-1])), la * lb) for j in range(len(a))]
+    big_a, la = _over_lcm(a)
+    big_b, lb = _over_lcm(b)
+    return [Fraction(sum(map(mul, big_a[: j + 1], big_b[j::-1])), la * lb) for j in range(len(a))]
 
 
 def series_div_pairs(num, den):
-    """Long division of coefficient lists; den[0] must be nonzero.
+    """Long division of coefficient sequences of ints or ``Fraction``s;
+    den[0] must be nonzero.
 
-    Returns q with (q * den)[j] = num[j] for all j <= len(num) - 1.
+    Returns the list of ``Fraction``s q with (q * den)[j] = num[j] for all
+    j <= len(num) - 1.
 
     The dividend is scaled to integers, num = N/Ln.  The divisor's tail
     den[1:] is cut into blocks (:func:`_blocks`) over L1, the lcm of its
@@ -137,12 +144,12 @@ def series_div_pairs(num, den):
     q[j] = (N[j] L1 R/Ln - sum_m P[j-m] W[m]) / (R L1 den[0]) is an integer
     sum, summed block by block, with one gcd per coefficient.
     """
-    (lead_n, lead_d), *tail = den
-    if lead_n == 0:
+    lead, *tail = den
+    if lead == 0:
         raise ZeroDivisionError("leading coefficient of divisor is zero")
-    big_n, ln = _over_lcm(*zip(*num))
-    tail_n = [n for n, _ in tail]
-    blocks, l1 = _blocks([d for _, d in tail])
+    big_n, ln = _over_lcm(num)
+    tail_n = [c.numerator for c in tail]
+    blocks, l1 = _blocks([c.denominator for c in tail])
     blocks = [(b, list(map(mul, tail_n[b : b + _BLOCK], w)), f) for b, w, f in blocks]
     r = ln
     p = []  # P[j-1], P[j-2], ..., P[0]
@@ -150,11 +157,11 @@ def series_div_pairs(num, den):
     for j, nj in enumerate(big_n):
         live = blocks[: (j + _BLOCK - 1) // _BLOCK]  # the blocks with start < j
         s = nj * l1 * (r // ln) - sum(f * sum(map(mul, p[b : b + _BLOCK], w)) for b, w, f in live)
-        qn, qd = _reduced(s * lead_d, r * l1 * lead_n)
-        q.append((qn, qd))
-        grow = qd // gcd(r, qd)
+        c = Fraction(s * lead.denominator, r * l1 * lead.numerator)
+        q.append(c)
+        grow = c.denominator // gcd(r, c.denominator)
         if grow > 1:
             r *= grow
             p = [x * grow for x in p]
-        p.insert(0, qn * (r // qd))
+        p.insert(0, c.numerator * (r // c.denominator))
     return q

@@ -144,19 +144,10 @@ class ProbeReport:
     increasing_in_n_ok: bool
 
 
-def probe_row(n: int, a: ASequence, previous: ProbeReport = None) -> ProbeReport:
-    """:func:`probe_a_row` on row n of the table.
-
-    The growth check compares against ``previous.row`` when the caller
-    supplies the matching report, otherwise against row n-1 of the table.
-    """
-    if previous is not None and previous.n == n - 1:
-        prev_row = previous.row
-    elif n >= 2:
-        prev_row = a.row(n - 1)
-    else:
-        prev_row = None
-    return probe_a_row(n, a.row(n), prev_row)
+def probe_row(n: int, a: ASequence) -> ProbeReport:
+    """:func:`probe_a_row` on row n of the table, checking growth against
+    row n-1 of the table (no check for n = 1)."""
+    return probe_a_row(n, a.row(n), a.row(n - 1) if n >= 2 else None)
 
 
 def probe_a_row(n: int, row, prev_row=None) -> ProbeReport:

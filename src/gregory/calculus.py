@@ -112,7 +112,9 @@ def finite_difference_check(n: int, x: float, h: float, tol: float) -> FiniteDif
     with C = sum_j w_j j^(n+2) / (n+2)! the first moment the weights leave
     unmatched and f^(n+2) from the closed form, plus the round-off
     eps * sum_j |w_j f(x + j h)| / h^n of summing the stencil in double
-    precision.  A residual below tol needs a floor below tol.
+    precision.  A step so small that two stencil points x + j*h round to
+    the same float is rejected with ValueError: the estimate would then be
+    round-off, and its residual no verdict on the formula.
     """
     if not 1 <= n <= MAX_CHECK_ORDER:
         raise ValueError("n must be in [1, %d]" % MAX_CHECK_ORDER)
@@ -125,15 +127,17 @@ def finite_difference_check(n: int, x: float, h: float, tol: float) -> FiniteDif
     if x <= 1:
         raise ValueError("x must be > 1 to keep the stencil away from the pole")
     offsets, weights = central_difference_weights(n)
-    if x + offsets[0] * h <= 1:
+    points = [x + j * h for j in offsets]
+    if points[0] <= 1:
+        raise ValueError("stencil [%g, %g] crosses the pole at t = 1" % (points[0], points[-1]))
+    # Coinciding points make the estimate say nothing about the formula; for
+    # x > 1 this also covers every h whose h**n underflows to 0.
+    if len(set(points)) < len(points):
         raise ValueError(
-            "stencil [%g, %g] crosses the pole at t = 1"
-            % (x + offsets[0] * h, x + offsets[-1] * h)
+            "step h=%g too small: the stencil points x + j*h at x=%r are not all distinct" % (h, x)
         )
-    if h ** n == 0:
-        raise ValueError("step h=%g too small: h**%d underflows to 0" % (h, n))
     expected = evaluate_expansion(expansion_from_row(n, stirling_row(n)), x)
-    terms = [float(w) / math.log(x + j * h) for j, w in zip(offsets, weights)]
+    terms = [float(w) / math.log(t) for t, w in zip(points, weights)]
     estimate = math.fsum(terms) / h ** n
     residual = abs(estimate - expected) / abs(expected)
     if not math.isfinite(residual):

@@ -5,7 +5,10 @@ a power series whose terms above x^N have been discarded; its order N is the
 length minus one.  Arithmetic never extends the order: products truncate, and
 quotients lose exactly the order eaten by cancelling the divisor's leading
 zeros.  This makes the precision of every derived coefficient auditable.
-Inputs may hold ints or ``Fraction``s; results hold ``Fraction``s.
+Inputs may hold ints or ``Fraction``s; results hold ``Fraction``s.  The
+product and the quotient pass their coefficients to the kernels in
+:mod:`gregory._kernels` as they are, and the kernels return each result
+coefficient as a ``Fraction`` reduced once.
 
 The two generating functions computed here are the series of ln(1+x) raised
 to integer powers, whose x^n coefficient times n!/k! is the signed Stirling
@@ -16,7 +19,6 @@ other modules.
 """
 
 from fractions import Fraction
-from itertools import starmap
 from math import factorial
 
 from . import _kernels
@@ -39,14 +41,6 @@ def _check(*series):
         raise ValueError("order mismatch: %d vs %d" % tuple(len(s) - 1 for s in series))
 
 
-def _pairs(s):
-    return [(c.numerator, c.denominator) for c in s]
-
-
-def _from_pairs(pairs) -> tuple:
-    return tuple(starmap(Fraction, pairs))
-
-
 def log1p_series(order: int) -> tuple:
     """ln(1+x) truncated at the given order: x - x^2/2 + x^3/3 - ..."""
     if order < 0:
@@ -57,7 +51,7 @@ def log1p_series(order: int) -> tuple:
 def series_mul(a, b) -> tuple:
     """Cauchy product truncated at the common order."""
     _check(a, b)
-    return _from_pairs(_kernels.series_mul_pairs(_pairs(a), _pairs(b)))
+    return tuple(_kernels.series_mul_pairs(a, b))
 
 
 def series_div(num, den) -> tuple:
@@ -78,7 +72,7 @@ def series_div(num, den) -> tuple:
             "no power-series quotient: the numerator has a nonzero term below x^%d, "
             "the divisor's valuation" % v
         )
-    return _from_pairs(_kernels.series_div_pairs(_pairs(num[v:]), _pairs(den[v:])))
+    return tuple(_kernels.series_div_pairs(num[v:], den[v:]))
 
 
 def series_pow(s, k: int) -> tuple:

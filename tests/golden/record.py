@@ -107,6 +107,10 @@ def cases():
         ["deriv", "1", "--check", "1e-4", "1e-6"],
         ["deriv", "7", "3.0", "--check", "1e-3", "1e-4"],
         ["deriv", "6", "3.0", "--check", "1e-60", "1e-6"],
+        # steps at which stencil points coincide: an error, not a verdict
+        ["deriv", "1", "2", "--check", "5e-324", "1"],
+        ["deriv", "1", "2", "--check", "5e-324", "1", "--format", "json"],
+        ["deriv", "3", "1.5", "--check", "1e-17", "2"],
         ["deriv", "2", "1e-300"],
         ["deriv", "3", "2.0", "--check", "1e-3", "-1"],
         # the check's error floor, not the derivative asked for, leaves float range

@@ -181,12 +181,7 @@ def test_criterion_6_a_table_suite():
 
 def test_criterion_7_unimodality_probe_to_200():
     a = ASequence.build(200)
-    previous = None
-    failures = []
-    for n in range(1, 201):
-        previous = probe_row(n, a, previous)
-        if n >= 4 and not previous.is_unimodal:
-            failures.append(n)
+    failures = [n for n in range(4, 201) if not probe_row(n, a).is_unimodal]
     if failures:
         # conjectured property: log, do not fail the suite
         print("criterion 7: non-unimodal rows found at n=%s" % failures)

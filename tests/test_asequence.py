@@ -178,12 +178,6 @@ def test_probe_examples(a_table):
     assert r4.increasing_in_n_ok
 
 
-def test_probe_uses_previous_report(a_table):
-    r3 = probe_row(3, a_table)
-    r4 = probe_row(4, a_table, previous=r3)
-    assert r4.increasing_in_n_ok
-
-
 def test_probe_row_1_trivial(a_table):
     r1 = probe_row(1, a_table)
     assert r1.row == [1]

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from gregory import (
     central_difference_weights,
@@ -113,3 +115,30 @@ def test_finite_difference_domain():
     # A negative tolerance is a usage error, not a failed check.
     with pytest.raises(ValueError, match="tol must be >= 0"):
         finite_difference_check(3, 2.0, 1e-3, -1.0)
+
+
+@st.composite
+def _stencil(draw):
+    """(n, x, h) with x > 1 and h drawn relative to x: ulp(x) is about
+    x * 2**-52, so steps on both sides of the one at which x + j*h rounds
+    back to a neighbouring point are drawn."""
+    x = draw(st.floats(1.0, 1e6, exclude_min=True))
+    return draw(st.integers(1, 6)), x, x * draw(st.floats(2.0**-60, 2.0**-40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stencil())
+# The steps of the CLI cases, at which every point rounds to x.
+@example((1, 2.0, 5e-324))
+@example((3, 1.5, 1e-17))
+@example((6, 3.0, 1e-60))
+def test_step_is_too_small_exactly_when_stencil_points_coincide(case):
+    n, x, h = case
+    m = (n + 1) // 2
+    assume(x - m * h > 1)
+    points = [x + j * h for j in range(-m, m + 1)]
+    if len(set(points)) < len(points):
+        with pytest.raises(ValueError, match="too small: the stencil points"):
+            finite_difference_check(n, x, h, 1.0)
+    else:
+        finite_difference_check(n, x, h, 1.0)

@@ -1,6 +1,6 @@
-"""Kernels against an independent oracle, their (num, den) invariants, and
-property tests of the exact sum, the series product and division against
-plain Fractions."""
+"""Kernels against an independent oracle, the nested sum table's (num, den)
+invariants, and property tests of the exact sum, the series product and
+division against plain Fractions."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -56,7 +56,7 @@ def test_nested_sum_table_matches_fractions_at_every_size():
 
 def test_div_rejects_zero_leading_coefficient():
     with pytest.raises(ZeroDivisionError):
-        _kernels.series_div_pairs([(1, 1)], [(0, 1)])
+        _kernels.series_div_pairs([1], [Fraction(0)])
 
 
 # Every fraction with denominator <= 36 and |value| <= 40, and more; built
@@ -67,46 +67,60 @@ _lead = _coeff.filter(bool)
 _SEAMS = 3 * _kernels._BLOCK + 2
 
 
-def _as_pairs(coeffs):
-    return [(c.numerator, c.denominator) for c in map(Fraction, coeffs)]
-
-
 @st.composite
 def _division(draw):
     """(num, den) coefficient lists of one length; den has a nonzero lead."""
     size = draw(st.integers(1, _SEAMS))
     num = draw(st.lists(_coeff, min_size=size, max_size=size))
     den = [draw(_lead)] + draw(st.lists(_coeff, min_size=size - 1, max_size=size - 1))
-    return _as_pairs(num), _as_pairs(den)
+    return num, den
+
+
+def _fraction_quotient(num, den):
+    """q with (q * den)[j] = num[j], by long division in plain Fractions."""
+    q = []
+    for j, nj in enumerate(num):
+        q.append((nj - sum(q[i] * den[j - i] for i in range(j))) / Fraction(den[0]))
+    return q
+
+
+def _all_fractions(coeffs):
+    return all(type(c) is Fraction for c in coeffs)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_division())
 # Always run a negative lead with non-unit denominators and zero coefficients.
-@example(([(0, 1), (3, 4), (0, 1), (-5, 6)], [(-2, 3), (0, 1), (7, 10), (1, 9)]))
-@example(([(1, 1)], [(-1, 7)]))
+@example(
+    ([0, Fraction(3, 4), 0, Fraction(-5, 6)], [Fraction(-2, 3), 0, Fraction(7, 10), Fraction(1, 9)])
+)
+@example(([1], [Fraction(-1, 7)]))
+# Int coefficients beside Fractions, as bernoulli2_series divides the int
+# series of x by ln(1+x) once the shared factor x is cancelled.
+@example(([1, 0, 0, 0, 0], [Fraction(1), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4), 5]))
+@example(([3, -2, Fraction(1, 6)], [2, 0, -7]))
 # A lead denominator (7) that divides no other denominator of the divisor.
 @example(
     (
-        _as_pairs([1] + [0] * (_SEAMS - 1)),
-        _as_pairs([Fraction(2, 7)] + [Fraction((-1) ** m, m % 6 + 1) for m in range(1, _SEAMS)]),
+        [1] + [0] * (_SEAMS - 1),
+        [Fraction(2, 7)] + [Fraction((-1) ** m, m % 6 + 1) for m in range(1, _SEAMS)],
     )
 )
 # Non-unit numerators in every coefficient of the divisor.
 @example(
     (
-        _as_pairs([Fraction(m - 3, 2 * m + 1) for m in range(_SEAMS)]),
-        _as_pairs([Fraction(-3, 4)] + [Fraction(2 * m + 3, m % 5 + 2) for m in range(1, _SEAMS)]),
+        [Fraction(m - 3, 2 * m + 1) for m in range(_SEAMS)],
+        [Fraction(-3, 4)] + [Fraction(2 * m + 3, m % 5 + 2) for m in range(1, _SEAMS)],
     )
 )
 def test_div_pairs_are_normalized_and_invert_mul(case):
     num, den = case
     q = _kernels.series_div_pairs(num, den)
-    assert len(q) == len(num)
-    for qn, qd in q:
-        assert qd > 0
-        assert gcd(qn, qd) == 1
-        assert qn or qd == 1
+    assert _all_fractions(q)
+    assert q == _fraction_quotient(num, den)
+    for c in q:
+        assert c.denominator > 0
+        assert gcd(c.numerator, c.denominator) == 1
     assert _kernels.series_mul_pairs(q, den) == num
 
 
@@ -122,13 +136,17 @@ def _product(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_product())
-# Always run zero coefficients, negative numerators and non-unit denominators.
+# Always run zero coefficients, negative numerators and non-unit denominators,
+# with int coefficients beside Fractions.
 @example(([0, Fraction(-3, 4), Fraction(5, 6)], [Fraction(2, 9), 0, Fraction(-7, 10)]))
 @example(([0], [Fraction(-1, 3)]))
+@example(([1, -2, 3], [4, 0, -5]))
 def test_mul_pairs_is_the_fraction_cauchy_product(case):
     a, b = case
     product = [sum(Fraction(a[i]) * b[j - i] for i in range(j + 1)) for j in range(len(a))]
-    assert _kernels.series_mul_pairs(_as_pairs(a), _as_pairs(b)) == _as_pairs(product)
+    result = _kernels.series_mul_pairs(a, b)
+    assert _all_fractions(result)
+    assert result == product
 
 
 @settings(max_examples=200, deadline=None)
