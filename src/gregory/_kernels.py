@@ -9,8 +9,10 @@ output entry.  The series kernels take coefficient sequences of ints or
 returns ``(num, den)`` tuples of Python ints with ``den > 0`` and
 ``gcd(num, den) == 1``, reduced through :func:`_reduced`.  The b_n routes and
 the Stirling column recurrence sum through :func:`lcm_sum`.  :func:`lcm_sum`
-and series division scale in two levels (:func:`_blocks`), so that a large
-numerator meets a small multiplier.
+and series division scale in two levels over runs of denominators, so that a
+large numerator meets a small multiplier.  A route builds the runs' lcms and
+weights once per column (:func:`lcm_plan`) and sums every prefix it needs
+against that plan.
 """
 
 from fractions import Fraction
@@ -32,28 +34,45 @@ def _over_lcm(coeffs):
 _BLOCK = 16
 
 
-def _blocks(dens):
-    """(blocks, L) for L = lcm(dens): one (start, weights, factor) per run
-    dens[start:start + _BLOCK], with weights[i] = Lb // d over the run's own
-    lcm Lb and factor = L // Lb, so that d divides L as (Lb // d) (L // Lb)."""
-    starts = range(0, len(dens), _BLOCK)
-    runs = [dens[start : start + _BLOCK] for start in starts]
+def lcm_plan(dens):
+    """The fixed part of every :func:`lcm_sum` over a prefix of ``dens``, a
+    sequence of positive ints, built once per column.
+
+    A tuple (dens, lcms, weights, whole): per run dens[b:b + _BLOCK] its own
+    lcm Lb and the small weights Lb // d, and whole[i], the lcm of the first
+    i runs (whole[0] = 1)."""
+    runs = [dens[b : b + _BLOCK] for b in range(0, len(dens), _BLOCK)]
     lcms = [lcm(*run) for run in runs]
-    big = lcm(*lcms)
-    return [(s, [lb // d for d in run], big // lb) for s, run, lb in zip(starts, runs, lcms)], big
+    weights = [[lb // d for d in run] for run, lb in zip(runs, lcms)]
+    return dens, lcms, weights, list(accumulate(lcms, lcm, initial=1))
 
 
-def lcm_sum(nums, dens):
-    """(S, L): the sum of nums[i]/dens[i] as the integer S over L = lcm(dens),
-    unreduced; (0, 1) for no terms.  ``nums`` and ``dens`` are sequences of
-    one length, ``dens`` of positive ints.
+def lcm_sum(nums, plan):
+    """(S, L): the sum of nums[i]/dens[i] over the first m = len(nums)
+    denominators of the plan's ``dens``, as the integer S over
+    L = lcm(dens[:m]), unreduced; (0, 1) for no terms.
 
-    Each block's numerators are summed against the small weights Lb // d,
-    and each block sum is then scaled once by L // Lb."""
-    if len(nums) != len(dens):
-        raise ValueError("%d numerators for %d denominators" % (len(nums), len(dens)))
-    blocks, big = _blocks(dens)
-    return sum(f * sum(map(mul, nums[b : b + _BLOCK], w)) for b, w, f in blocks), big
+    Each run's numerators are summed against its small weights Lb // d, and
+    each run sum is then scaled once by L // Lb.  The runs that end by m come
+    from the plan; only a last run cut short by m has its lcm and weights
+    computed here."""
+    dens, lcms, weights, whole = plan
+    m = len(nums)
+    if m > len(dens):
+        raise ValueError("%d numerators for %d denominators" % (m, len(dens)))
+    full = len(lcms) if m == len(dens) else m // _BLOCK
+    runs = list(zip(lcms[:full], weights[:full]))
+    big = whole[full]
+    if full * _BLOCK < m:
+        cut = dens[full * _BLOCK : m]
+        lb = lcm(*cut)
+        runs.append((lb, [lb // d for d in cut]))
+        big = lcm(big, lb)
+    total = sum(
+        (big // lb) * sum(map(mul, nums[b : b + _BLOCK], w))
+        for b, (lb, w) in zip(range(0, m, _BLOCK), runs)
+    )
+    return total, big
 
 
 def _reduced(num, den):
@@ -135,8 +154,8 @@ def series_div_pairs(num, den):
     j <= len(num) - 1.
 
     The dividend is scaled to integers, num = N/Ln.  The divisor's tail
-    den[1:] is cut into blocks (:func:`_blocks`) over L1, the lcm of its
-    denominators, with each numerator folded into its block weight: W[m] =
+    den[1:] is cut into the runs of its :func:`lcm_plan` over L1, the lcm of
+    its denominators, with each numerator folded into its block weight: W[m] =
     L1 den[m] is the block's factor times a small weight.  Every quotient
     coefficient found so far is held as an integer numerator P[i] over one
     running denominator R, a multiple of Ln, and kept newest first, so that
@@ -149,8 +168,12 @@ def series_div_pairs(num, den):
         raise ZeroDivisionError("leading coefficient of divisor is zero")
     big_n, ln = _over_lcm(num)
     tail_n = [c.numerator for c in tail]
-    blocks, l1 = _blocks([c.denominator for c in tail])
-    blocks = [(b, list(map(mul, tail_n[b : b + _BLOCK], w)), f) for b, w, f in blocks]
+    _, lcms, weights, whole = lcm_plan([c.denominator for c in tail])
+    l1 = whole[-1]
+    blocks = [
+        (b, list(map(mul, tail_n[b : b + _BLOCK], w)), l1 // lb)
+        for b, w, lb in zip(range(0, len(tail), _BLOCK), weights, lcms)
+    ]
     r = ln
     p = []  # P[j-1], P[j-2], ..., P[0]
     q = []

@@ -10,6 +10,12 @@ routes reach the same numbers through the Stirling triangle:
 * ``ank``:      b_n = (-1)^n (1/n!) (1/(n+1) + sum_{k=2}^{n}
                 (a(n,k) - n a(n-1,k)) / k!), valid for n >= 2
 
+``nemes`` and ``theorem`` sum through :func:`gregory._kernels.lcm_sum`
+against one lcm plan of their denominators per column; ``ank`` stays off the
+kernel, so that a fault of the kernel cannot pass as agreement.  It sums each
+a-row once, in Horner form, and reads b_n from the sums of rows n and n-1
+(:func:`_ank`).
+
 All four must agree bit-exactly as normalized rationals; the report built by
 :func:`bernoulli2_report` records that agreement per n.  :data:`ROUTES` is the
 one registry of the routes: every caller that runs "each method" iterates it.
@@ -41,29 +47,49 @@ __all__ = [
 # ROUTES from the row recursion.
 
 
-def _theorem(n, s_prev):
+def _theorem_plan(max_n):
+    """The denominators (k+1)(k+2), k = 1..max_n-1, of every b_n <= b_max_n."""
+    return _kernels.lcm_plan([(k + 1) * (k + 2) for k in range(1, max_n)])
+
+
+def _theorem(n, s_prev, plan):
     """b_n from s(n-1, 0..n-1), one kernel sum over lcm((k+1)(k+2)) = lcm(2..n+1)."""
-    ks = range(1, n)
-    total, big_l = _kernels.lcm_sum(
-        [-s_prev[k] if k & 1 else s_prev[k] for k in ks], [(k + 1) * (k + 2) for k in ks]
-    )
+    nums = [-s_prev[k] if k & 1 else s_prev[k] for k in range(1, n)]
+    total, big_l = _kernels.lcm_sum(nums, plan)
     return Fraction(total, big_l * factorial(n))
 
 
-def _nemes(n, s_row):
+def _nemes_plan(max_n):
+    """The denominators k+1, k = 0..max_n, of every b_n <= b_max_n."""
+    return _kernels.lcm_plan(range(1, max_n + 2))
+
+
+def _nemes(n, s_row, plan):
     """b_n from s(n, 0..n), one kernel sum over lcm(1..n+1)."""
-    total, big_l = _kernels.lcm_sum(s_row, range(1, n + 2))
+    total, big_l = _kernels.lcm_sum(s_row, plan)
     return Fraction(total, big_l * factorial(n))
 
 
-def _ank(n, a_n, a_prev):
-    """b_n from a(n, 2..n+1) and a(n-1, 2..n), summed as integers over
-    (n+1)!: term k carries the weight (n+1)!/k! = (k+1)(k+2)...(n+1), applied
-    in Horner form, and the leading 1/(n+1) becomes n!."""
+def _ank_sum(n, a_n):
+    """h_n = sum_{k=2}^{n} a(n,k) (n+1)!/k! from a(n, 2..n+1), as an integer:
+    the weight (n+1)!/k! = (k+1)(k+2)...(n+1) is applied in Horner form, one
+    addition and one small multiplication per term."""
     total = 0
     for k in range(2, n + 1):
-        total = (total + a_n[k - 2] - n * a_prev[k - 2]) * (k + 1)
+        total = (total + a_n[k - 2]) * (k + 1)
+    return total
+
+
+def _ank(n, h_n, a_prev, h_prev):
+    """b_n from h_n, row a(n-1, 2..n) and its sum h_{n-1} (:func:`_ank_sum`).
+
+    The formula's sum over (n+1)! is sum_{k=2}^{n} (a(n,k) - n a(n-1,k))
+    (n+1)!/k!.  Its second half is n (n+1) times sum_{k=2}^{n} a(n-1,k) n!/k!
+    = h_{n-1} + a(n-1,n), so the sum is h_n - n (n+1) (h_{n-1} + a(n-1,n)).
+    A column sums each a-row once, and its sum serves both b_n and b_{n+1}.
+    The leading 1/(n+1) becomes n! over (n+1)! n!."""
     n_fact = factorial(n)
+    total = h_n - n * (n + 1) * (h_prev + a_prev[n - 2])
     return Fraction((-1) ** n * (total + n_fact), (n + 1) * n_fact * n_fact)
 
 
@@ -71,21 +97,22 @@ def bernoulli2_theorem(n: int, triangle: StirlingTriangle) -> Fraction:
     """b_n from row n-1 of the triangle with weights (-1)^k / ((k+1)(k+2))."""
     if n < 2:
         raise ValueError("this formula is stated for n >= 2")
-    return _theorem(n, triangle.row(n - 1))
+    return _theorem(n, triangle.row(n - 1), _theorem_plan(n))
 
 
 def bernoulli2_nemes(n: int, triangle: StirlingTriangle) -> Fraction:
     """b_n from row n of the triangle with weights 1/(k+1); valid for n >= 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _nemes(n, triangle.row(n))
+    return _nemes(n, triangle.row(n), _nemes_plan(n))
 
 
 def bernoulli2_ank(n: int, a: ASequence) -> Fraction:
     """b_n from first differences of the a(n,k) table; valid for n >= 2."""
     if n < 2:
         raise ValueError("this formula is stated for n >= 2")
-    return _ank(n, a.row(n), a.row(n - 1))
+    a_prev = a.row(n - 1)
+    return _ank(n, _ank_sum(n, a.row(n)), a_prev, _ank_sum(n - 1, a_prev))
 
 
 # The route streams.  Each holds at most two rows at a time and builds the
@@ -97,17 +124,19 @@ def _series_stream(max_n, start):
 
 
 def _nemes_stream(max_n, start):
+    plan = _nemes_plan(max_n)
     for n, s_row in enumerate(_kernels.stirling_rows(max_n)):
         if n >= start:
-            yield _nemes(n, s_row)
+            yield _nemes(n, s_row, plan)
 
 
 def _theorem_stream(max_n, start):
     if max_n == 0:  # no row n - 1; stirling_rows refuses a negative max_n
         return
+    plan = _theorem_plan(max_n)
     for n, s_prev in enumerate(_kernels.stirling_rows(max_n - 1), 1):
         if n >= start:
-            yield _theorem(n, s_prev)
+            yield _theorem(n, s_prev, plan)
 
 
 def _ank_stream(max_n, start):
@@ -119,11 +148,13 @@ def _ank_stream(max_n, start):
             for n, s_row in enumerate(_kernels.stirling_rows(max_n))
             if n >= start - 1
         )
-    a_prev = None
+    # Each row travels with its sum, so that every a-row is summed once.
+    prev = None
     for n, a_n in rows:
+        h_n = _ank_sum(n, a_n)
         if n >= start:
-            yield _ank(n, a_n, a_prev)
-        a_prev = a_n
+            yield _ank(n, h_n, *prev)
+        prev = a_n, h_n
 
 
 @dataclass(frozen=True)

@@ -39,13 +39,15 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
+from ._kernels import lcm_plan, lcm_sum
 from .asequence import a_row, a_rows, probe_a_row
 from .bernoulli import ROUTES, _reports, bernoulli2_report, bernoulli2_values
 from .calculus import evaluate_expansion, expansion_from_row, finite_difference_check
-from .exact import EXACT_DECIMAL, decimal_string, format_rational, harmonic
+from .exact import EXACT_DECIMAL, decimal_string, format_rational
 from .stirling import stirling_row
 
 EXIT_OK = 0
@@ -107,12 +109,44 @@ def _frac_text(rec):
     return "%s\n" % text if rec.decimal is None else "%s %s\n" % (text, rec.decimal)
 
 
+# Any indent sends json.dumps through the json module's pure-Python encoder.
+# These two run in C, with no indent: their item separators carry the line
+# breaks and indents that indent=2 gives a record's fields in the list and
+# the items of a list or object field.
+_FIELDS = json.JSONEncoder(separators=(",\n    ", ": "))
+_ITEMS = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def _nested(item):
+    value = item[1]
+    return bool(value) and isinstance(value, (list, tuple, dict))
+
+
+def _json_record(d):
+    """The text ``json.dumps(d, indent=2)`` gives for a record one level into
+    the list, from the C encoders: each run of scalar fields in one call, and
+    each non-empty list or object field alone, with its brackets on lines of
+    their own.  The items of such a field are scalars."""
+    parts = []
+    for nested, fields in itertools.groupby(d.items(), _nested):
+        if not nested:
+            parts.append(_FIELDS.encode(dict(fields))[1:-1])
+            continue
+        for key, value in fields:
+            text = _ITEMS.encode(value)
+            parts.append(
+                "%s: %s\n      %s\n    %s" % (_FIELDS.encode(key), text[0], text[1:-1], text[-1])
+            )
+    return "{\n    %s\n  }" % ",\n    ".join(parts)
+
+
 def emit(records, fmt, frac=_frac_text):
     """Write each record of an iterable as soon as it is made, in any format.
 
     In frac each record is the text ``frac(record)`` gives, newline included,
     written at once.  The JSON text is the one ``json.dump(list, indent=2)``
-    gives for the whole list, the CSV text the one ``csv.writer`` gives with
+    gives for the whole list, written record by record through
+    :func:`_json_record`, and the CSV text the one ``csv.writer`` gives with
     ``lineterminator="\\n"``.  Every command writes through here except
     ``bench``, whose csv columns (backend, method, max_n, repeat, median_s)
     and frac table with a header are its own.
@@ -121,8 +155,7 @@ def emit(records, fmt, frac=_frac_text):
     if fmt == "json":
         empty = True
         for r in records:
-            text = json.dumps(_record_dict(r), indent=2).replace("\n", "\n  ")
-            out.write(("[\n  " if empty else ",\n  ") + text)
+            out.write(("[\n  " if empty else ",\n  ") + _json_record(_record_dict(r)))
             empty = False
         out.write("[]\n" if empty else "\n]\n")
     elif fmt == "csv":
@@ -174,8 +207,12 @@ def _write_reports(reports, kind, args, summary=None):
     when every n agrees, else 2."""
 
     def route_records(r):
+        if r.agree:  # one value: render it once and copy its record per route
+            value = next(iter(r.values.values()))
+            rec = _rational(kind, r.n, value, args.digits, extra={"agree": True})
+            return [replace(rec, method=m) for m in r.values]
         return [
-            _rational(kind, r.n, value, args.digits, method=method, extra={"agree": r.agree})
+            _rational(kind, r.n, value, args.digits, method=method, extra={"agree": False})
             for method, value in r.values.items()
         ]
 
@@ -215,7 +252,11 @@ def cmd_bernoulli2(args):
 
 
 def cmd_harmonic(args):
-    emit([_rational("harmonic", args.n, harmonic(args.n), args.digits)], args.format)
+    # One kernel sum over lcm(1..n); exact.harmonic, which adds one Fraction
+    # per term, stays the reference the tests compare it with.
+    n = args.n
+    value = Fraction(*lcm_sum([1] * n, lcm_plan(range(1, n + 1))))
+    emit([_rational("harmonic", n, value, args.digits)], args.format)
     return EXIT_OK
 
 

@@ -136,7 +136,8 @@ def stirling_column_recurrence(n: int, k: int, triangle: StirlingTriangle) -> in
         raise ValueError("need 2 <= k <= n, got n=%d k=%d" % (n, k))
     ms = range(k - 1, n)
     total, big_l = _kernels.lcm_sum(
-        [(-1) ** (m - k + 1) * triangle.value(m, k - 1) for m in ms], [factorial(m) for m in ms]
+        [(-1) ** (m - k + 1) * triangle.value(m, k - 1) for m in ms],
+        _kernels.lcm_plan([factorial(m) for m in ms]),
     )
     return _as_int(Fraction((-1) ** (n - k) * factorial(n - 1) * total, big_l), n, k)
 

@@ -12,6 +12,7 @@ from gregory import (
     MethodReport,
     a_difference_identity_check,
     a_from_stirling,
+    a_rows,
     bernoulli2_ank,
     bernoulli2_nemes,
     bernoulli2_report,
@@ -151,6 +152,25 @@ def test_single_value_reads_b_n_alone_from_tables_built_to_n(monkeypatch):
         assert bernoulli.bernoulli2_values(method, 9, start=9) == [F(8183, 1036800)]
         assert calls == [9]
         assert built_to == [rows_max_n]
+
+
+def _two_row_ank(n, a_n, a_prev):
+    """b_n by the ank formula summed term by term: a(n,k) - n a(n-1,k) over
+    (n+1)!, with the weight (n+1)!/k! applied in Horner form.  The route
+    regroups this sum around one Horner sum per a-row; this oracle does not."""
+    total = 0
+    for k in range(2, n + 1):
+        total = (total + a_n[k - 2] - n * a_prev[k - 2]) * (k + 1)
+    n_fact = factorial(n)
+    return F((-1) ** n * (total + n_fact), (n + 1) * n_fact * n_fact)
+
+
+def test_ank_column_matches_the_two_row_sum_to_300():
+    rows = list(a_rows(300))
+    expected = [_two_row_ank(n, rows[n - 1], rows[n - 2]) for n in range(2, 301)]
+    assert bernoulli.bernoulli2_values("ank", 300) == expected
+    assert bernoulli.bernoulli2_values("ank", 300, start=300) == expected[-1:]
+    assert bernoulli2_ank(30, ASequence(rows[:30])) == expected[28]
 
 
 def test_the_two_ank_feeds_agree(monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gregory.cli as cli
-from gregory import MethodReport, bernoulli, bernoulli2_report
+from gregory import MethodReport, bernoulli, bernoulli2_report, harmonic
 
 
 def run(argv, capsys):
@@ -134,6 +134,16 @@ def test_harmonic(capsys):
     assert out.strip() == "7381/2520"
 
 
+def test_harmonic_matches_the_reference_sum_to_500(capsys):
+    # The CLI sums through the kernel; exact.harmonic adds one Fraction a term.
+    for n in range(501):
+        expected = str(harmonic(n))
+        code, out, _ = run(["harmonic", str(n)], capsys)
+        assert (code, out) == (0, expected + "\n"), n
+        code, out, _ = run(["harmonic", str(n), "--format", "json"], capsys)
+        assert (code, json.loads(out)[0]["value"]) == (0, expected), n
+
+
 def test_ank(capsys):
     code, out, _ = run(["ank", "4", "4"], capsys)
     assert code == 0
@@ -162,6 +172,28 @@ def test_crosscheck_detects_injected_fault(capsys, monkeypatch):
     code, out, _ = run(["crosscheck", "--max-n", "2"], capsys)
     assert code == 2
     assert "DISAGREE at n=2" in out
+    # Each route's own value, not the first route's for all.
+    assert "theorem=-1/12 ank=1/12 agree=NO" in out
+    code, out, _ = run(["crosscheck", "--max-n", "2", "--format", "json", "--digits", "3"], capsys)
+    assert code == 2
+    shown = {r["method"]: (r["value"], r["decimal"]) for r in json.loads(out)[:-1]}
+    assert shown == {
+        **dict.fromkeys(bernoulli.ROUTES, ("-1/12", "-0.083")),
+        "ank": ("1/12", "0.083"),
+    }
+
+
+def test_agreeing_report_copies_one_rendered_record_per_route(capsys, monkeypatch):
+    rendered = []
+    real = cli._rational
+    monkeypatch.setattr(cli, "_rational", lambda *a, **kw: rendered.append(a[2]) or real(*a, **kw))
+    code, out, _ = run(["crosscheck", "--max-n", "5", "--format", "json"], capsys)
+    assert code == 0
+    assert len(rendered) == 4  # b_2..b_5, once each
+    records = json.loads(out)[:-1]
+    assert [(r["n"], r["method"]) for r in records] == [
+        (n, m) for n in range(2, 6) for m in bernoulli.ROUTES
+    ]
 
 
 def test_crosscheck_domain(capsys):
@@ -651,6 +683,34 @@ def test_csv_output_survives_reader_writer_round_trip(argv, capsys):
 def test_emit_json_of_no_records_is_an_empty_list(capsys):
     cli.emit([], "json")
     assert capsys.readouterr().out == "[]\n"
+
+
+def test_json_with_a_nested_object_is_the_indent_2_text(capsys):
+    code, out, _ = run(["deriv", "5", "2.0", "--check", "1e-3", "1e-2", "--format", "json"], capsys)
+    assert code == 0
+    records = json.loads(out)
+    assert set(records[0]["check"]) == {"h", "tol", "residual", "floor", "passed"}
+    assert out == json.dumps(records, indent=2) + "\n"
+
+
+_scalar = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_field = _scalar | st.lists(_scalar, max_size=4) | st.dictionaries(st.text(), _scalar, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(st.text(), _field, min_size=1, max_size=8), max_size=3))
+# Empty and non-empty list and object fields between runs of scalars.
+@example([{"kind": "p", "value": [], "peaks": [4, 5], "check": {}, "x": 0.5}])
+@example([{"check": {"h": 1e-3, "passed": True}, "value": ["1", "-2"]}, {"n": None}])
+def test_emit_json_is_the_indent_2_text_of_the_list(records):
+    # A record's fields hold scalars, or lists or objects of scalars.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.emit([cli.OutputRecord(None, None, None, extra=d) for d in records], "json")
+    expected = [
+        {**dict.fromkeys(("kind", "n", "k", "method", "value", "decimal")), **d} for d in records
+    ]
+    assert out.getvalue() == json.dumps(expected, indent=2) + "\n"
 
 
 # Rows always have five or six fields; csv.writer writes a lone empty field as

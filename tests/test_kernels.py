@@ -154,16 +154,22 @@ def test_mul_pairs_is_the_fraction_cauchy_product(case):
 # Always run no terms, negative numerators and repeated denominators.
 @example([])
 @example([(-3, 4), (5, 4), (-7, 6), (0, 6), (1, 1)])
-# Always cross three block seams.
+# Always cross three block seams: the prefixes include m = 0, the multiples
+# of _BLOCK, and a run cut short on each side of every seam.
 @example([((-1) ** i * (i + 1) ** 20, i % 60 + 1) for i in range(_SEAMS)])
 def test_lcm_sum_is_the_fraction_sum_over_the_lcm(terms):
+    # One plan serves the sum over every prefix of its denominators.
     nums = [n for n, _ in terms]
     dens = [d for _, d in terms]
-    total, big = _kernels.lcm_sum(nums, dens)
-    assert big == lcm(*dens)
-    assert Fraction(total, big) == sum(map(Fraction, nums, dens), Fraction(0))
+    plan = _kernels.lcm_plan(dens)
+    for m in range(len(terms) + 1):
+        total, big = _kernels.lcm_sum(nums[:m], plan)
+        assert big == lcm(*dens[:m])
+        assert Fraction(total, big) == sum(map(Fraction, nums[:m], dens), Fraction(0))
 
 
-def test_lcm_sum_rejects_unpaired_terms():
+def test_lcm_sum_rejects_more_terms_than_the_plan():
     with pytest.raises(ValueError):
-        _kernels.lcm_sum([1, 2], [3])
+        _kernels.lcm_sum([1, 2], _kernels.lcm_plan([3]))
+    with pytest.raises(ValueError):
+        _kernels.lcm_sum([1], _kernels.lcm_plan([]))
