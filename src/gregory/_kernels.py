@@ -7,12 +7,12 @@ output entry.  The series kernels take coefficient sequences of ints or
 ``Fraction``s, scale each through :func:`_over_lcm`, and return a list of
 ``Fraction``s, each built once from its integer sum.  The nested sum table
 returns ``(num, den)`` tuples of Python ints with ``den > 0`` and
-``gcd(num, den) == 1``, reduced through :func:`_reduced`.  The b_n routes and
-the Stirling column recurrence sum through :func:`lcm_sum`.  :func:`lcm_sum`
-and series division scale in two levels over runs of denominators, so that a
-large numerator meets a small multiplier.  A route builds the runs' lcms and
-weights once per column (:func:`lcm_plan`) and sums every prefix it needs
-against that plan.
+``gcd(num, den) == 1``, reduced through :func:`_reduced`.  The ``nemes`` and
+``theorem`` b_n routes and ``gregory harmonic N`` sum through :func:`lcm_sum`.
+:func:`lcm_sum` and series division scale in two levels over runs of
+denominators, so that a large numerator meets a small multiplier.  A route
+builds the runs' lcms and weights once per column (:func:`lcm_plan`) and sums
+every prefix it needs against that plan.
 """
 
 from fractions import Fraction

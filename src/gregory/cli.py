@@ -8,21 +8,20 @@ route registry :data:`gregory.bernoulli.ROUTES`.
 Output contract: ``--format frac`` prints human-readable text with exact
 fractions; ``--format json`` emits one object per record with the keys
 kind, n, k, method, value, decimal (plus kind-specific extras); ``--format
-csv`` emits the same values with those six columns.  One writer,
-:func:`emit`, writes all three formats: a command builds records and hands
-them over, with a frac line function where its frac layout is its own.
-``bench`` is the exception, because its csv columns and its frac table with a
-header are not records of the six-column contract.  Every exact rational's
-record comes from :func:`_rational`, which adds the value's decimal under
-``--digits D``: in frac it follows a single value after a space, and each
-route's value in a report line in parentheses (``series=1/24 (0.041667)``).
-Records are written as they are made, so a row command holds one row at a
-time.  Exact values are printed in full however many digits they have.  Exit
-codes: 0 success, 1 usage or domain error (an input too large to allocate
-included), 2 verification failure.  The parser and the commands raise a
-usage or domain error as ValueError, which :func:`main` prints as one
-``error:`` line.  A reader that closes the output pipe early ends the command
-quietly with exit 1.
+csv`` emits the same values with those six columns.  Every command, ``bench``
+included, builds one stream of records and hands it to one writer,
+:func:`emit`, the only code that reads the format; a command whose frac
+layout is its own passes a renderer that turns its whole stream into text.
+Every exact rational's record comes from :func:`_rational`, which adds the
+value's decimal under ``--digits D``: in frac it follows a single value after
+a space, and each route's value in a report line in parentheses
+(``series=1/24 (0.041667)``).  Records are written as they are made, so a
+row command holds one row at a time.  Exact values are printed in full
+however many digits they have.  Exit codes: 0 success, 1 usage or domain
+error (an input too large to allocate included), 2 verification failure.
+The parser and the commands raise a usage or domain error as ValueError,
+which :func:`main` prints as one ``error:`` line.  A reader that closes the
+output pipe early ends the command quietly with exit 1.
 
 Fixed argument bounds are declared once, in the parser, and checked with
 the rest of argv before any output: n >= 0 for stirling1, bernoulli2 and
@@ -39,7 +38,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -53,9 +52,6 @@ from .stirling import stirling_row
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
-
-# bench's "backend" column: the kernels are pure Python.
-BACKEND = "python"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,16 +136,20 @@ def _json_record(d):
     return "{\n    %s\n  }" % ",\n    ".join(parts)
 
 
-def emit(records, fmt, frac=_frac_text):
-    """Write each record of an iterable as soon as it is made, in any format.
+def _frac_lines(records):
+    return map(_frac_text, records)
 
-    In frac each record is the text ``frac(record)`` gives, newline included,
-    written at once.  The JSON text is the one ``json.dump(list, indent=2)``
-    gives for the whole list, written record by record through
-    :func:`_json_record`, and the CSV text the one ``csv.writer`` gives with
-    ``lineterminator="\\n"``.  Every command writes through here except
-    ``bench``, whose csv columns (backend, method, max_n, repeat, median_s)
-    and frac table with a header are its own.
+
+def emit(records, fmt, frac=_frac_lines):
+    """Write a command's stream of records as it is made, in any format; the
+    only code that reads the format.
+
+    In frac, ``frac(records)`` turns the whole stream into text, and each
+    string it yields, newlines included, is written at once; the default
+    writes :func:`_frac_text` of each record.  The JSON text is the one
+    ``json.dump(list, indent=2)`` gives for the whole list, written record by
+    record through :func:`_json_record`, and the CSV text the one
+    ``csv.writer`` gives with ``lineterminator="\\n"``.
     """
     out = sys.stdout
     if fmt == "json":
@@ -173,8 +173,8 @@ def emit(records, fmt, frac=_frac_text):
                 for kk, v in zip(keys, values)
             ))
     else:
-        for r in records:
-            out.write(frac(r))
+        for text in frac(records):
+            out.write(text)
 
 
 def _rational(kind, n, value, digits, **fields):
@@ -200,38 +200,55 @@ def cmd_stirling1(args):
     return EXIT_OK
 
 
-def _write_reports(reports, kind, args, summary=None):
-    """Write MethodReports: in frac one line 'n=N <method>=<b_n> ...
-    agree=yes|NO' per n, each b_n followed by ' (<decimal>)' under --digits,
-    otherwise one record per route and n; then the summary, if any.  Exit 0
-    when every n agrees, else 2."""
+def _agreement(reports, max_n):
+    """The summary of a b_n column check: 'ALL AGREE [2..N]', or the n that
+    disagree."""
+    disagree = ",".join(str(r.n) for r in reports if not r.agree)
+    return "DISAGREE at n=%s" % disagree if disagree else "ALL AGREE [2..%d]" % max_n
 
-    def route_records(r):
-        if r.agree:  # one value: render it once and copy its record per route
-            value = next(iter(r.values.values()))
-            rec = _rational(kind, r.n, value, args.digits, extra={"agree": True})
-            return [replace(rec, method=m) for m in r.values]
-        return [
-            _rational(kind, r.n, value, args.digits, method=method, extra={"agree": False})
-            for method, value in r.values.items()
-        ]
 
-    if args.format == "frac":
-
-        def entry(rec):
-            text = "%s=%s" % (rec.method, rec.value)
-            return text if rec.decimal is None else "%s (%s)" % (text, rec.decimal)
-
-        def line(r):
-            values = " ".join(map(entry, route_records(r)))
-            return "n=%d %s agree=%s" % (r.n, values, "yes" if r.agree else "NO")
-
-        records = (OutputRecord(kind, r.n, line(r)) for r in reports)
-    else:
-        records = (rec for r in reports for rec in route_records(r))
-    tail = [] if summary is None else [OutputRecord(kind, None, summary, method="summary")]
-    emit(itertools.chain(records, tail), args.format)
+def _verdict(reports):
     return EXIT_OK if all(r.agree for r in reports) else EXIT_VERIFY
+
+
+def _report_entry(rec):
+    text = "%s=%s" % (rec.method, rec.value)
+    return text if rec.decimal is None else "%s (%s)" % (text, rec.decimal)
+
+
+def _report_lines(records):
+    """A report's frac text: one line 'n=N <method>=<b_n> ... agree=yes|NO'
+    per n, each b_n followed by ' (<decimal>)' under --digits; a summary
+    record as its value."""
+    for n, group in itertools.groupby(records, lambda rec: rec.n):
+        if n is None:
+            yield from map(_frac_text, group)
+            continue
+        group = list(group)
+        entries = " ".join(map(_report_entry, group))
+        yield "n=%d %s agree=%s\n" % (n, entries, "yes" if group[0].extra["agree"] else "NO")
+
+
+def _write_reports(reports, kind, args, summary=None):
+    """Write MethodReports, one record per route and n, then the summary, if
+    any.  Exit 0 when every n agrees, else 2."""
+
+    def records():
+        for r in reports:
+            if not r.agree:
+                for m, value in r.values.items():
+                    yield _rational(kind, r.n, value, args.digits, method=m, extra={"agree": False})
+                continue
+            # One value: render it once, then build each route's record from it.
+            rec = _rational(kind, r.n, next(iter(r.values.values())), args.digits)
+            extra = {"agree": True}
+            for m in r.values:
+                yield OutputRecord(kind, r.n, rec.value, decimal=rec.decimal, method=m, extra=extra)
+        if summary is not None:
+            yield OutputRecord(kind, None, summary, method="summary")
+
+    emit(records(), args.format, _report_lines)
+    return _verdict(reports)
 
 
 def cmd_bernoulli2(args):
@@ -271,27 +288,42 @@ def cmd_ank(args):
 
 def cmd_crosscheck(args):
     reports = bernoulli2_report(args.max_n)
-    disagree = ",".join(str(r.n) for r in reports if not r.agree)
-    summary = "DISAGREE at n=%s" % disagree if disagree else "ALL AGREE [2..%d]" % args.max_n
-    return _write_reports(reports, "crosscheck", args, summary)
+    return _write_reports(reports, "crosscheck", args, _agreement(reports, args.max_n))
+
+
+def _probe_lines(records):
+    """probe's frac text: one line per row, then the summary with the rows
+    whose entries shrank against the row before."""
+    failed = []
+    for rec in records:
+        if rec.n is None:
+            verdict = "FAIL at n=%s" % ",".join(failed) if failed else "OK"
+            yield "%s\nincreasing_in_n: %s\n" % (rec.value, verdict)
+            continue
+        if not rec.extra["increasing_in_n"]:
+            failed.append(str(rec.n))
+        yield "n=%d row=[%s] peaks=%s unimodal=%s increasing=%s\n" % (
+            rec.n,
+            ", ".join(rec.value),
+            rec.extra["peaks"],
+            "yes" if rec.extra["unimodal"] else "NO",
+            "ok" if rec.extra["increasing_in_n"] else "NO",
+        )
 
 
 def cmd_probe(args):
-    unimodal = 0
-    not_increasing = []
-
     def records():
         # Each a-row is probed and written as it streams; only row n-1 is kept.
         # The rows are Decimals, which print in linear time; they are exact
         # because main runs every command in EXACT_DECIMAL.
-        nonlocal unimodal
+        unimodal = 0
+        increasing = True
         previous = None
         for n, row in enumerate(a_rows(args.max_n, Decimal(1)), 1):
             r = probe_a_row(n, row, previous)
             previous = r.row
             unimodal += r.is_unimodal
-            if not r.increasing_in_n_ok:
-                not_increasing.append(str(n))
+            increasing &= r.increasing_in_n_ok
             yield OutputRecord(
                 "probe",
                 n,
@@ -308,78 +340,58 @@ def cmd_probe(args):
             None,
             "unimodal rows: %d/%d" % (unimodal, args.max_n),
             method="summary",
-            extra={"increasing_in_n": not not_increasing},
+            extra={"increasing_in_n": increasing},
         )
 
-    def frac(rec):
-        if rec.n is None:
-            return "%s\nincreasing_in_n: %s\n" % (
-                rec.value,
-                "FAIL at n=%s" % ",".join(not_increasing) if not_increasing else "OK",
-            )
-        return "n=%d row=[%s] peaks=%s unimodal=%s increasing=%s\n" % (
-            rec.n,
-            ", ".join(rec.value),
-            rec.extra["peaks"],
-            "yes" if rec.extra["unimodal"] else "NO",
-            "ok" if rec.extra["increasing_in_n"] else "NO",
-        )
-
-    emit(records(), args.format, frac)
+    emit(records(), args.format, _probe_lines)
     return EXIT_OK
 
 
+def _bench_table(records):
+    """bench's frac text: a table of the route times under a header, then the
+    summary."""
+    yield "%-8s %6s %6s %12s\n" % ("method", "max_n", "repeat", "median_s")
+    for rec in records:
+        if rec.n is None:
+            yield _frac_text(rec)
+        else:
+            yield "%-8s %6d %6d %12s\n" % (rec.method, rec.n, rec.extra["repeat"], rec.value)
+
+
 def cmd_bench(args):
-    rows = []
+    """One record per route, its median time over --repeat runs of the column
+    b_2..b_N, then the crosscheck summary of the columns it timed."""
     columns = {}
+    records = []
     for method in ROUTES:
         times = []
         for _ in range(args.repeat):
             t0 = time.perf_counter()
             columns[method] = bernoulli2_values(method, args.max_n)
             times.append(time.perf_counter() - t0)
-        rows.append((method, statistics.median(times)))
-    agree = all(r.agree for r in _reports(columns, 2))
-    if args.format == "csv":
-        sys.stdout.write(_csv_line(["backend", "method", "max_n", "repeat", "median_s"]))
-        for method, median in rows:
-            fields = [BACKEND, method, args.max_n, args.repeat, "%.6f" % median]
-            sys.stdout.write(_csv_line(fields))
-    elif args.format == "json":
-        emit(
-            [
-                OutputRecord(
-                    "bench",
-                    args.max_n,
-                    "%.6f" % median,
-                    method=method,
-                    extra={"backend": BACKEND, "repeat": args.repeat},
-                )
-                for method, median in rows
-            ],
-            "json",
+        median = "%.6f" % statistics.median(times)
+        records.append(
+            OutputRecord("bench", args.max_n, median, method=method, extra={"repeat": args.repeat})
         )
-    else:
-        print("%-9s %-8s %6s %6s %12s" % ("backend", "method", "max_n", "repeat", "median_s"))
-        for method, median in rows:
-            print("%-9s %-8s %6d %6d %12.6f" % (BACKEND, method, args.max_n, args.repeat, median))
-        print("methods agree: %s" % ("yes" if agree else "NO"))
-    return EXIT_OK if agree else EXIT_VERIFY
+    reports = _reports(columns, 2)
+    records.append(OutputRecord("bench", None, _agreement(reports, args.max_n), method="summary"))
+    emit(records, args.format, _bench_table)
+    return _verdict(reports)
 
 
-def _deriv_frac(rec):
+def _deriv_lines(records):
     """deriv's frac text: 'k=1: c1, k=2: c2, ...', then the value at x and
     the check, when they were asked for."""
-    text = ", ".join("k=%d: %s" % kc for kc in zip(rec.row_keys, rec.value)) + "\n"
-    if "x" in rec.extra:
-        text += "value at x=%r: %.12g\n" % (rec.extra["x"], rec.extra["value_at_x"])
-    check = rec.extra.get("check")
-    if check is not None:
-        verdict = "PASS" if check["passed"] else "FAIL"
-        text += "check: residual=%.3e floor=%.3e tol=%g %s\n" % (
-            check["residual"], check["floor"], check["tol"], verdict
-        )
-    return text
+    for rec in records:
+        yield ", ".join("k=%d: %s" % kc for kc in zip(rec.row_keys, rec.value)) + "\n"
+        if "x" in rec.extra:
+            yield "value at x=%r: %.12g\n" % (rec.extra["x"], rec.extra["value_at_x"])
+        check = rec.extra.get("check")
+        if check is not None:
+            verdict = "PASS" if check["passed"] else "FAIL"
+            yield "check: residual=%.3e floor=%.3e tol=%g %s\n" % (
+                check["residual"], check["floor"], check["tol"], verdict
+            )
 
 
 def cmd_deriv(args):
@@ -410,7 +422,7 @@ def cmd_deriv(args):
         row_keys=range(1, n + 1),
         extra=extra,
     )
-    emit([rec], args.format, _deriv_frac)
+    emit([rec], args.format, _deriv_lines)
     return code
 
 

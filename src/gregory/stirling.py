@@ -129,17 +129,18 @@ def stirling_column_recurrence(n: int, k: int, triangle: StirlingTriangle) -> in
     """s(n,k) from column k-1 of the triangle.
 
     Uses (-1)^(n-k) s(n,k)/(n-1)! = sum_{m=k-1}^{n-1} (1/m) *
-    (-1)^(m-k+1) s(m,k-1)/(m-1)!, so only rows up to n-1 are read; the sum is
-    one kernel sum over the term denominators m (m-1)! = m!.
+    (-1)^(m-k+1) s(m,k-1)/(m-1)!, so only rows up to n-1 are read.  Times
+    (n-1)!, term m carries the integer weight (n-1)!/m! = (m+1)...(n-1), so
+    the sum is one integer Horner pass, total = total*m + (-1)^(m-k+1)
+    s(m,k-1) for m = k-1..n-1.
     """
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n, got n=%d k=%d" % (n, k))
-    ms = range(k - 1, n)
-    total, big_l = _kernels.lcm_sum(
-        [(-1) ** (m - k + 1) * triangle.value(m, k - 1) for m in ms],
-        _kernels.lcm_plan([factorial(m) for m in ms]),
-    )
-    return _as_int(Fraction((-1) ** (n - k) * factorial(n - 1) * total, big_l), n, k)
+    total = 0
+    for m in range(k - 1, n):
+        term = triangle.value(m, k - 1)
+        total = total * m + (term if (m - k) % 2 else -term)
+    return total if (n - k) % 2 == 0 else -total
 
 
 def stirling_closed_form(n: int, k: int) -> int:

@@ -254,11 +254,10 @@ def test_probe_reports_shrinking_and_two_peaked_rows(capsys, monkeypatch):
     ["ank", "5", "3"],
     ["crosscheck", "--max-n", "6"],
     ["probe", "--max-n", "5"],
+    ["bench", "--max-n", "4"],
     ["deriv", "3", "2.0", "--check", "1e-3", "1e-4"],
 ])
 def test_only_emit_writes_frac_output(argv, capsys, monkeypatch):
-    # bench, whose table has columns of its own, is the one command that
-    # prints its frac output itself.
     def stderr_only(*args, **kwargs):
         assert kwargs.get("file") is sys.stderr, "print to stdout: %r" % (args,)
         print(*args, **kwargs)
@@ -272,11 +271,32 @@ def test_only_emit_writes_frac_output(argv, capsys, monkeypatch):
 def test_bench_default_has_four_method_rows(capsys):
     code, out, _ = run(["bench", "--max-n", "5", "--repeat", "1"], capsys)
     assert code == 0
-    lines = out.strip().splitlines()
-    body = [l for l in lines if not l.startswith("backend") and not l.startswith("methods")]
-    assert len(body) == 4
-    assert [l.split()[1] for l in body] == ["series", "nemes", "theorem", "ank"]
-    assert "methods agree: yes" in out
+    lines = out.splitlines()
+    assert lines[0].split() == ["method", "max_n", "repeat", "median_s"]
+    body = [line.split() for line in lines[1:-1]]
+    assert [row[:3] for row in body] == [[m, "5", "1"] for m in bernoulli.ROUTES]
+    assert all(float(row[3]) >= 0 for row in body)
+    assert lines[-1] == "ALL AGREE [2..5]"
+
+
+def _wrong_b3_stream(max_n, start):
+    for n, value in enumerate(bernoulli._nemes_stream(max_n, start), start):
+        yield value + 1 if n == 3 else value
+
+
+@pytest.mark.parametrize("fmt", ["frac", "json", "csv"])
+def test_bench_reports_a_route_that_disagrees(fmt, capsys, monkeypatch):
+    monkeypatch.setitem(bernoulli.ROUTES, "wrong", bernoulli.Route(0, _wrong_b3_stream))
+    code, out, _ = run(["bench", "--max-n", "4", "--format", fmt], capsys)
+    assert code == 2
+    # The summary is the last record, in every format.
+    if fmt == "json":
+        last = json.loads(out)[-1]["value"]
+    elif fmt == "csv":
+        last = list(csv.reader(io.StringIO(out)))[-1][4]
+    else:
+        last = out.splitlines()[-1]
+    assert last == "DISAGREE at n=3"
 
 
 def test_a_route_added_to_the_registry_reaches_every_report_and_command(capsys, monkeypatch):
@@ -305,8 +325,8 @@ def test_a_route_added_to_the_registry_reaches_every_report_and_command(capsys, 
 
     code, out, _ = run(["bench", "--max-n", "3"], capsys)
     assert code == 0
-    assert [line.split()[1] for line in out.splitlines()[1:-1]] == names
-    assert out.endswith("methods agree: yes\n")
+    assert [line.split()[0] for line in out.splitlines()[1:-1]] == names
+    assert out.endswith("ALL AGREE [2..3]\n")
 
     # A route stated from n = 3 on moves the bernoulli2 domain message, and
     # the routes it offers instead are the registry's routes stated from 0.
@@ -320,11 +340,26 @@ def test_a_route_added_to_the_registry_reaches_every_report_and_command(capsys, 
 
 
 def test_bench_csv(capsys):
+    # One six-column record per route, kind "bench", then the crosscheck
+    # summary of the timed columns; --repeat is a JSON-only extra.
     code, out, _ = run(["bench", "--max-n", "4", "--repeat", "2", "--format", "csv"], capsys)
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["backend", "method", "max_n", "repeat", "median_s"]
-    assert len(rows) == 5
+    assert rows[0] == ["kind", "n", "k", "method", "value", "decimal"]
+    assert [row[:4] + row[5:] for row in rows[1:-1]] == [
+        ["bench", "4", "", m, ""] for m in bernoulli.ROUTES
+    ]
+    assert all(float(row[4]) >= 0 for row in rows[1:-1])
+    assert rows[-1] == ["bench", "", "", "summary", "ALL AGREE [2..4]", ""]
+
+    code, out, _ = run(["bench", "--max-n", "4", "--repeat", "2", "--format", "json"], capsys)
+    assert code == 0
+    records = json.loads(out)
+    assert [(r["method"], r["repeat"]) for r in records[:-1]] == [(m, 2) for m in bernoulli.ROUTES]
+    assert records[-1] == {
+        "kind": "bench", "n": None, "k": None, "method": "summary",
+        "value": "ALL AGREE [2..4]", "decimal": None,
+    }
 
 
 def test_bench_domain(capsys):
@@ -612,6 +647,48 @@ def test_json_output_is_strict_and_exact(argv, capsys):
         assert {"kind", "n", "k", "method", "value", "decimal"} <= set(r)
         values = r["value"] if isinstance(r["value"], list) else [r["value"]]
         assert all(isinstance(v, str) for v in values)
+
+
+class _UncomparableFormat(str):
+    """A --format value that fails the test when any code compares it."""
+
+    def __eq__(self, other):
+        raise AssertionError("--format compared with %r outside emit" % (other,))
+
+    __ne__ = __eq__
+    __hash__ = str.__hash__
+
+
+@pytest.mark.parametrize("fmt", ["frac", "json", "csv"])
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND)
+def test_only_emit_reads_the_format(argv, fmt, capsys, monkeypatch):
+    # The command sees a format it cannot compare; the emit spy hands the
+    # plain string on to the real writer.
+    real_build_parser, real_emit = cli.build_parser, cli.emit
+    seen = []
+
+    def build_parser():
+        parser = real_build_parser()
+        parse_args = parser.parse_args
+
+        def parse_uncomparable(argv):
+            args = parse_args(argv)
+            args.format = _UncomparableFormat(args.format)
+            return args
+
+        parser.parse_args = parse_uncomparable
+        return parser
+
+    def emit(records, fmt, *renderer):
+        assert isinstance(fmt, _UncomparableFormat)
+        seen.append(fmt)
+        real_emit(records, str(fmt), *renderer)
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    monkeypatch.setattr(cli, "emit", emit)
+    code, out, _ = run(argv + ["--format", fmt], capsys)
+    assert code == 0
+    assert len(seen) == 1 and out
 
 
 def _words(*parts):

@@ -122,6 +122,19 @@ def test_column_recurrence_matches_triangle(triangle):
             assert stirling_column_recurrence(n, k, triangle) == triangle.value(n, k)
 
 
+def test_column_recurrence_matches_triangle_to_150():
+    # Every entry 2 <= k <= n <= 150 of the integer Horner sum, whose
+    # weights (m+1)...(n-1) reach 149!/1!.
+    big = stirling_triangle(150)
+    wrong = [
+        (n, k)
+        for n in range(2, 151)
+        for k in range(2, n + 1)
+        if stirling_column_recurrence(n, k, big) != big.value(n, k)
+    ]
+    assert wrong == []
+
+
 def test_column_recurrence_needs_previous_rows():
     small = stirling_triangle(3)
     with pytest.raises(ValueError):
