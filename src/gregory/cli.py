@@ -16,7 +16,11 @@ Every exact rational's record comes from :func:`_rational`, which adds the
 value's decimal under ``--digits D``: in frac it follows a single value after
 a space, and each route's value in a report line in parentheses
 (``series=1/24 (0.041667)``).  Records are written as they are made, so a
-row command holds one row at a time.  Exact values are printed in full
+row command holds one row at a time.  A row record's value is the list of
+the row's numbers, ints for stirling1 and deriv and Decimals for probe;
+:func:`emit` checks once per row that it holds nothing else, then renders
+the row once, joining its entries' str() with no escaping: such text has no
+character that JSON escapes or CSV quotes.  Exact values are printed in full
 however many digits they have.  Exit codes: 0 success, 1 usage or domain
 error (an input too large to allocate included), 2 verification failure.
 The parser and the commands raise a usage or domain error as ValueError,
@@ -41,6 +45,7 @@ import time
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import chain, repeat
 
 from ._kernels import lcm_plan, lcm_sum
 from .asequence import a_row, a_rows, probe_a_row
@@ -63,7 +68,9 @@ class _Parser(argparse.ArgumentParser):
 class OutputRecord:
     kind: str
     n: int  # None for a summary record
-    value: object  # fraction/integer string, or list of them for a row
+    # A scalar's text (a fraction, an integer or a summary), or a row: a list
+    # of ints or Decimals, which emit renders once, in the chosen format.
+    value: object
     k: int = None
     decimal: str = None
     method: str = None
@@ -84,6 +91,21 @@ def _record_dict(rec):
     return d
 
 
+# The str() of an int or Decimal holds only digits, "-", ".", "E", "+" and the
+# letters of NaN, sNaN or Infinity: nothing that JSON escapes or that makes CSV
+# quote a field.  So emit writes a row's entries as their str(), unescaped.
+_ROW_TYPES = frozenset((int, Decimal))
+
+
+def _checked(rec):
+    """Return ``rec``; raise TypeError when its value is a row that holds
+    anything but ints and Decimals, such as a str, a bool or a float."""
+    if isinstance(rec.value, list) and (stray := set(map(type, rec.value)) - _ROW_TYPES):
+        names = ", ".join(sorted(t.__name__ for t in stray))
+        raise TypeError("a row holds ints and Decimals only, not %s" % names)
+    return rec
+
+
 def _csv_field(value):
     """A field as csv.writer's default dialect writes it: None as nothing,
     quoted only when it holds a comma, a quote, CR or LF, with each inner
@@ -101,7 +123,7 @@ def _csv_line(fields):
 def _frac_text(rec):
     """A record's frac line: the value (a row joined by spaces), then
     " " + decimal when one is set."""
-    text = " ".join(rec.value) if isinstance(rec.value, list) else rec.value
+    text = " ".join(map(str, rec.value)) if isinstance(rec.value, list) else rec.value
     return "%s\n" % text if rec.decimal is None else "%s %s\n" % (text, rec.decimal)
 
 
@@ -118,22 +140,29 @@ def _nested(item):
     return bool(value) and isinstance(value, (list, tuple, dict))
 
 
-def _json_record(d):
-    """The text ``json.dumps(d, indent=2)`` gives for a record one level into
-    the list, from the C encoders: each run of scalar fields in one call, and
-    each non-empty list or object field alone, with its brackets on lines of
-    their own.  The items of such a field are scalars."""
+def _json_record(rec):
+    """The text ``json.dumps(d, indent=2)`` gives for a record's dict ``d``
+    one level into the list, as a list of fragments.  Each run of scalar
+    fields comes from one call of a C encoder, and each non-empty list or
+    object field alone, with its brackets on lines of their own; the items of
+    such a field are scalars.  A non-empty row is one fragment, its entries'
+    str() joined between quotes: it is rendered once, with no escaping and
+    no copy into a larger string."""
+    row = rec.value if isinstance(rec.value, list) else None
     parts = []
-    for nested, fields in itertools.groupby(d.items(), _nested):
+    for nested, fields in itertools.groupby(_record_dict(rec).items(), _nested):
         if not nested:
-            parts.append(_FIELDS.encode(dict(fields))[1:-1])
+            parts += ",\n    ", _FIELDS.encode(dict(fields))[1:-1]
             continue
         for key, value in fields:
-            text = _ITEMS.encode(value)
-            parts.append(
-                "%s: %s\n      %s\n    %s" % (_FIELDS.encode(key), text[0], text[1:-1], text[-1])
-            )
-    return "{\n    %s\n  }" % ",\n    ".join(parts)
+            parts += ",\n    ", _FIELDS.encode(key), ": "
+            if value is row:
+                parts += '[\n      "', '",\n      "'.join(map(str, row)), '"\n    ]'
+            else:
+                text = _ITEMS.encode(value)
+                parts.append("%s\n      %s\n    %s" % (text[0], text[1:-1], text[-1]))
+    parts[0] = "{\n    "  # the first field follows the brace, not a comma
+    return parts + ["\n  }"]
 
 
 def _frac_lines(records):
@@ -144,18 +173,23 @@ def emit(records, fmt, frac=_frac_lines):
     """Write a command's stream of records as it is made, in any format; the
     only code that reads the format.
 
-    In frac, ``frac(records)`` turns the whole stream into text, and each
-    string it yields, newlines included, is written at once; the default
-    writes :func:`_frac_text` of each record.  The JSON text is the one
-    ``json.dump(list, indent=2)`` gives for the whole list, written record by
-    record through :func:`_json_record`, and the CSV text the one
-    ``csv.writer`` gives with ``lineterminator="\\n"``.
+    A row's value holds ints and Decimals only, checked once per row in
+    every format (:func:`_checked`), so each row is rendered once, from its
+    numbers, with no escaping.  In frac, ``frac(records)`` turns the whole
+    stream into text, and each string it yields, newlines included, is
+    written at once; the default writes :func:`_frac_text` of each record.
+    The JSON text is the one ``json.dump(list, indent=2)`` gives for the
+    whole list with each row entry as its str(), written record by record
+    through :func:`_json_record`, and the CSV text the one ``csv.writer``
+    gives with ``lineterminator="\\n"``.
     """
     out = sys.stdout
+    records = map(_checked, records)
     if fmt == "json":
         empty = True
         for r in records:
-            out.write(("[\n  " if empty else ",\n  ") + _json_record(_record_dict(r)))
+            out.write("[\n  " if empty else ",\n  ")
+            out.writelines(_json_record(r))
             empty = False
         out.write("[]\n" if empty else "\n]\n")
     elif fmt == "csv":
@@ -164,14 +198,13 @@ def emit(records, fmt, frac=_frac_lines):
             # A scalar is a row of one entry: kind,n,<k>,method,<value>,decimal
             # per entry, with the fixed fields rendered once.
             is_row = isinstance(r.value, list)
-            keys, values = (r.row_keys, r.value) if is_row else ((r.k,), (r.value,))
+            keys = map(str, r.row_keys) if is_row else (_csv_field(r.k),)
+            values = map(str, r.value) if is_row else (_csv_field(r.value),)
             head = _csv_field(r.kind) + "," + _csv_field(r.n) + ","
             middle = "," + _csv_field(r.method) + ","
             tail = "," + _csv_field(r.decimal) + "\n"
-            out.write("".join(
-                head + _csv_field(kk) + middle + _csv_field(v) + tail
-                for kk, v in zip(keys, values)
-            ))
+            lines = zip(repeat(head), keys, repeat(middle), values, repeat(tail))
+            out.write("".join(chain.from_iterable(lines)))
     else:
         for text in frac(records):
             out.write(text)
@@ -193,7 +226,7 @@ def cmd_stirling1(args):
         raise ValueError("k=%d out of range for n=%d (need 0 <= k <= n)" % (args.k, n))
     s_row = stirling_row(n)
     if args.k is None:
-        rec = OutputRecord("stirling1", n, [str(v) for v in s_row], row_keys=range(n + 1))
+        rec = OutputRecord("stirling1", n, list(s_row), row_keys=range(n + 1))
     else:
         rec = OutputRecord("stirling1", n, str(s_row[args.k]), k=args.k)
     emit([rec], args.format)
@@ -304,7 +337,7 @@ def _probe_lines(records):
             failed.append(str(rec.n))
         yield "n=%d row=[%s] peaks=%s unimodal=%s increasing=%s\n" % (
             rec.n,
-            ", ".join(rec.value),
+            ", ".join(map(str, rec.value)),
             rec.extra["peaks"],
             "yes" if rec.extra["unimodal"] else "NO",
             "ok" if rec.extra["increasing_in_n"] else "NO",
@@ -327,7 +360,7 @@ def cmd_probe(args):
             yield OutputRecord(
                 "probe",
                 n,
-                [str(v) for v in r.row],
+                r.row,
                 row_keys=range(2, n + 2),
                 extra={
                     "peaks": r.peak_indices,
@@ -415,13 +448,7 @@ def cmd_deriv(args):
             "passed": result.passed,
         }
         code = EXIT_OK if result.passed else EXIT_VERIFY
-    rec = OutputRecord(
-        "deriv_coeffs",
-        n,
-        [str(c) for c in coeffs],
-        row_keys=range(1, n + 1),
-        extra=extra,
-    )
+    rec = OutputRecord("deriv_coeffs", n, coeffs, row_keys=range(1, n + 1), extra=extra)
     emit([rec], args.format, _deriv_lines)
     return code
 

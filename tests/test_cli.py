@@ -610,6 +610,9 @@ def _csv_values(out):
     ["crosscheck", "--max-n", "4"],
     ["probe", "--max-n", "4"],
     ["deriv", "3"],
+    ["stirling1", "40"],
+    ["probe", "--max-n", "40"],
+    ["deriv", "40"],
 ])
 def test_json_and_csv_values_identical(argv, capsys):
     code_j, out_j, _ = run(argv + ["--format", "json"], capsys)
@@ -800,6 +803,80 @@ def test_csv_quoter_matches_csv_writer(fields):
     expected = io.StringIO()
     csv.writer(expected, lineterminator="\r\n").writerow(fields)
     assert cli._csv_line(fields) == expected.getvalue()[:-2] + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["stirling1", "40"],
+    ["probe", "--max-n", "40"],
+    ["deriv", "40"],
+])
+def test_row_records_carry_ints_or_decimals(argv, capsys, monkeypatch):
+    real_emit = cli.emit
+    records = []
+
+    def emit(stream, fmt, *renderer):
+        records.extend(stream)
+        real_emit(records, fmt, *renderer)
+
+    monkeypatch.setattr(cli, "emit", emit)
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and out
+    rows = [r.value for r in records if isinstance(r.value, list)]
+    assert rows
+    assert all(type(v) in (int, decimal.Decimal) for row in rows for v in row)
+
+
+@pytest.mark.parametrize("fmt", ["frac", "json", "csv"])
+@pytest.mark.parametrize("entry", ['1"2', True, 1.5])
+def test_a_row_entry_neither_int_nor_decimal_is_a_type_error(entry, fmt, capsys):
+    record = cli.OutputRecord("row", 1, [1, entry], row_keys=range(2))
+    with pytest.raises(TypeError, match="ints and Decimals"):
+        cli.emit([record], fmt)
+    # The row is checked before any of its text is written.
+    assert capsys.readouterr().out == ("kind,n,k,method,value,decimal\n" if fmt == "csv" else "")
+
+
+_row_entry = st.one_of(
+    st.integers(),
+    st.integers(-(10**450), 10**450),
+    st.decimals(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, -1, decimal.Decimal("-0"), decimal.Decimal("1E+3"), decimal.Decimal("NaN")]),
+)
+_extras = st.sampled_from([{}, {"peaks": [2, 3], "unimodal": False}, {"x": 0.5}])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(_row_entry, max_size=6), _extras), max_size=3))
+@example([([10**401 + 7, -(10**400), 0], {})])
+@example([([decimal.Decimal("-0"), decimal.Decimal("1E+3"), decimal.Decimal("NaN")], {"x": 1.0})])
+@example([([], {"peaks": [2]}), ([-5], {})])
+def test_rows_render_as_the_generic_writers_render_their_text(rows):
+    # The oracle: each entry's str() through the json and csv modules'
+    # own writers and a plain join.
+    records = [
+        cli.OutputRecord("row", n, row, row_keys=range(2, len(row) + 2), extra=extra)
+        for n, (row, extra) in enumerate(rows)
+    ]
+    texts = [[str(v) for v in row] for row, _ in rows]
+    dicts = [
+        {"kind": "row", "n": n, "k": None, "method": None, "value": text, "decimal": None, **extra}
+        for n, (text, (_, extra)) in enumerate(zip(texts, rows))
+    ]
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(["kind", "n", "k", "method", "value", "decimal"])
+    for n, text in enumerate(texts):
+        writer.writerows(["row", n, k, None, v, None] for k, v in enumerate(text, 2))
+    expected = {
+        "frac": "".join(" ".join(text) + "\n" for text in texts),
+        "json": json.dumps(dicts, indent=2) + "\n",
+        "csv": table.getvalue(),
+    }
+    for fmt, text in expected.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.emit(records, fmt)
+        assert out.getvalue() == text, fmt
 
 
 @pytest.mark.parametrize("argv, expected", [
