@@ -16,7 +16,7 @@ of asserting it.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 from operator import ge
@@ -133,15 +133,10 @@ def a_difference_identity_check(n: int, k: int, triangle: StirlingTriangle) -> b
     return lhs == rhs
 
 
-@dataclass
-class ProbeReport:
-    """Shape summary of one a(n, .) row."""
-
-    n: int
-    row: list
-    peak_indices: list  # k values where the row maximum is attained
-    is_unimodal: bool
-    increasing_in_n_ok: bool
+ProbeReport = namedtuple("ProbeReport", "n row peak_indices is_unimodal increasing_in_n_ok")
+ProbeReport.__doc__ = """Shape summary of one a(n, .) row: n, the row, peak_indices
+(the k where the row maximum is attained), is_unimodal and
+increasing_in_n_ok."""
 
 
 def probe_row(n: int, a: ASequence) -> ProbeReport:

@@ -21,8 +21,7 @@ All four must agree bit-exactly as normalized rationals; the report built by
 one registry of the routes: every caller that runs "each method" iterates it.
 """
 
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -157,13 +156,9 @@ def _ank_stream(max_n, start):
         prev = a_n, h_n
 
 
-@dataclass(frozen=True)
-class Route:
-    """One b_n route: the smallest n it is stated for, and its stream
-    ``stream(max_n, start)`` of b_start..b_max_n."""
-
-    min_n: int
-    stream: Callable[[int, int], Iterator[Fraction]]
+Route = namedtuple("Route", "min_n stream")
+Route.__doc__ = """One b_n route: min_n, the smallest n it is stated for, and
+stream, its generator ``stream(max_n, start)`` of b_start..b_max_n."""
 
 
 # The streams resolve module-level names (the row formulas, the kernel, the
@@ -185,14 +180,11 @@ def bernoulli2_values(method: str, max_n: int, start: int = 2) -> list:
     return list(route.stream(max_n, start))
 
 
-@dataclass
-class MethodReport:
-    """b_n under each route, keyed by route name in :data:`ROUTES` order, plus
-    the agreement flag."""
+class MethodReport(namedtuple("MethodReport", "n values agree")):
+    """b_n under each route: values, a dict keyed by route name in
+    :data:`ROUTES` order, plus agree, the agreement flag."""
 
-    n: int
-    values: dict
-    agree: bool
+    __slots__ = ()
 
     @classmethod
     def gather(cls, n, values):

@@ -14,7 +14,7 @@ precision at a relative tolerance.
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .asequence import a_row
@@ -92,13 +92,13 @@ def central_difference_weights(n: int):
     return offsets, weights
 
 
-@dataclass
-class FiniteDifferenceResult:
-    passed: bool
-    residual: float  # relative deviation between stencil and closed form
-    expected: float  # closed-form value
-    estimate: float  # stencil value
-    floor: float  # error the stencil is expected to make, relative like residual
+FiniteDifferenceResult = namedtuple(
+    "FiniteDifferenceResult", "passed residual expected estimate floor"
+)
+FiniteDifferenceResult.__doc__ = """The verdict passed; residual, the relative
+deviation between stencil and closed form; expected, the closed-form value;
+estimate, the stencil value; floor, the error the stencil is expected to
+make, relative like residual."""
 
 
 def finite_difference_check(n: int, x: float, h: float, tol: float) -> FiniteDifferenceResult:

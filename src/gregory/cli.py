@@ -9,7 +9,8 @@ Output contract: ``--format frac`` prints human-readable text with exact
 fractions; ``--format json`` emits one object per record with the keys
 kind, n, k, method, value, decimal (plus kind-specific extras); ``--format
 csv`` emits the same values with those six columns.  Every command, ``bench``
-included, builds one stream of records and hands it to one writer,
+included, builds one stream of :class:`OutputRecord` named tuples, whose
+``extra`` holds the kind-specific JSON fields, and hands it to one writer,
 :func:`emit`, the only code that reads the format; a command whose frac
 layout is its own passes a renderer that turns its whole stream into text.
 Every exact rational's record comes from :func:`_rational`, which adds the
@@ -39,13 +40,13 @@ import contextlib
 import itertools
 import json
 import os
-import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain, repeat
+from types import MappingProxyType
 
 from ._kernels import lcm_plan, lcm_sum
 from .asequence import a_row, a_rows, probe_a_row
@@ -64,18 +65,19 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-@dataclass
-class OutputRecord:
-    kind: str
-    n: int  # None for a summary record
-    # A scalar's text (a fraction, an integer or a summary), or a row: a list
-    # of ints or Decimals, which emit renders once, in the chosen format.
-    value: object
-    k: int = None
-    decimal: str = None
-    method: str = None
-    row_keys: list = None  # index labels parallel to a list value
-    extra: dict = field(default_factory=dict)
+OutputRecord = namedtuple(
+    "OutputRecord",
+    "kind n value k decimal method row_keys extra",
+    defaults=(None, None, None, None, MappingProxyType({})),
+)
+OutputRecord.__doc__ = """One record of a command's output.
+
+kind, n (None for a summary record), and value: a scalar's text (a
+fraction, an integer or a summary), or a row, a list of ints or Decimals,
+which emit renders once, in the chosen format.  Then k, decimal and method,
+row_keys (index labels parallel to a list value), and extra, the
+kind-specific fields of the JSON object; by default one shared, read-only
+empty mapping."""
 
 
 def _record_dict(rec):
@@ -394,6 +396,8 @@ def _bench_table(records):
 def cmd_bench(args):
     """One record per route, its median time over --repeat runs of the column
     b_2..b_N, then the crosscheck summary of the columns it timed."""
+    import statistics  # only bench reads it; kept off every other command's start-up
+
     columns = {}
     records = []
     for method in ROUTES:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gregory import (
     ASequence,
+    ProbeReport,
     a_difference_identity_check,
     a_from_stirling,
     a_nested_sum,
@@ -172,10 +173,9 @@ def test_probe_examples(a_table):
     assert r3.is_unimodal
 
     r4 = probe_row(4, a_table)
-    assert r4.row == [6, 22, 36, 24]
-    assert r4.peak_indices == [4]
-    assert r4.is_unimodal
-    assert r4.increasing_in_n_ok
+    assert r4 == ProbeReport(
+        n=4, row=[6, 22, 36, 24], peak_indices=[4], is_unimodal=True, increasing_in_n_ok=True
+    )
 
 
 def test_probe_row_1_trivial(a_table):

@@ -232,8 +232,11 @@ def test_stream_rejects_negative_max_n(method):
 def test_method_report_flags_disagreement():
     values = {**dict.fromkeys(bernoulli.ROUTES, F(-1, 12)), "ank": F(1, 12)}
     r = MethodReport.gather(2, values)
-    assert r.values == values
-    assert not r.agree
+    assert r == MethodReport(n=2, values=values, agree=False)
+    agreeing = dict.fromkeys(bernoulli.ROUTES, F(-1, 12))
+    assert MethodReport.gather(2, agreeing) == MethodReport(n=2, values=agreeing, agree=True)
+    route = bernoulli.ROUTES["theorem"]
+    assert route == bernoulli.Route(min_n=2, stream=bernoulli._theorem_stream)
 
 
 # Euler's constant truncated to 50 digits, so just below it.

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gregory import (
+    FiniteDifferenceResult,
     central_difference_weights,
     evaluate_expansion,
     finite_difference_check,
@@ -96,6 +97,13 @@ def test_finite_difference_reports_residual():
     assert not result.passed
     assert result.residual > 0
     assert result.expected == pytest.approx(result.estimate, rel=1e-6)
+    assert result == FiniteDifferenceResult(
+        passed=False,
+        residual=result.residual,
+        expected=result.expected,
+        estimate=result.estimate,
+        floor=result.floor,
+    )
 
 
 def test_finite_difference_stencil_near_pole_rejected():

@@ -826,6 +826,19 @@ def test_row_records_carry_ints_or_decimals(argv, capsys, monkeypatch):
     assert all(type(v) in (int, decimal.Decimal) for row in rows for v in row)
 
 
+def test_records_built_without_extra_share_no_mutable_mapping():
+    first = cli.OutputRecord(kind="harmonic", n=1, value="1")
+    second = cli.OutputRecord(
+        kind="harmonic", n=2, value="3/2", k=None, decimal="1.5", method=None, row_keys=None
+    )
+    assert first.extra == second.extra == {}
+    with pytest.raises(TypeError):
+        first.extra["agree"] = True
+    assert second.extra == {}
+    given = {"agree": True}
+    assert cli.OutputRecord("crosscheck", 2, "-1/12", extra=given).extra is given
+
+
 @pytest.mark.parametrize("fmt", ["frac", "json", "csv"])
 @pytest.mark.parametrize("entry", ['1"2', True, 1.5])
 def test_a_row_entry_neither_int_nor_decimal_is_a_type_error(entry, fmt, capsys):

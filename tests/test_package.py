@@ -2,6 +2,9 @@
 the installed version is ``gregory.__version__``."""
 
 import importlib.metadata
+import json
+import subprocess
+import sys
 import types
 
 import pytest
@@ -39,3 +42,25 @@ def test_installed_version_is_dunder_version():
     except importlib.metadata.PackageNotFoundError:
         pytest.skip("gregory is imported from source, not installed")
     assert installed == gregory.__version__
+
+
+def _modules_after(statement):
+    """The names in sys.modules of a fresh interpreter, with this process's
+    sys.path and environment, after it runs ``statement``."""
+    code = "import json, sys; sys.path[:] = %r; %s; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code % (sys.path, statement)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(json.loads(proc.stdout))
+
+
+def test_cli_import_loads_no_heavy_module():
+    # Against a child that imports only what the CLI needs from the standard
+    # library, so that modules a site's .pth files load stay out of the verdict.
+    base = _modules_after("import argparse, json, fractions, decimal")
+    cli = _modules_after("import gregory.cli")
+    assert "gregory.cli" in cli
+    assert not {"dataclasses", "inspect", "statistics"} & (cli - base)
