@@ -7,12 +7,14 @@ output entry.  The series kernels take coefficient sequences of ints or
 ``Fraction``s, scale each through :func:`_over_lcm`, and return a list of
 ``Fraction``s, each built once from its integer sum.  The nested sum table
 returns ``(num, den)`` tuples of Python ints with ``den > 0`` and
-``gcd(num, den) == 1``, reduced through :func:`_reduced`.  The ``nemes`` and
-``theorem`` b_n routes and ``gregory harmonic N`` sum through :func:`lcm_sum`.
-:func:`lcm_sum` and series division scale in two levels over runs of
-denominators, so that a large numerator meets a small multiplier.  A route
-builds the runs' lcms and weights once per column (:func:`lcm_plan`) and sums
-every prefix it needs against that plan.
+``gcd(num, den) == 1``, reduced through :func:`_reduced`.
+
+Every sum against a fixed list of denominators is one block sum,
+:func:`lcm_sum`: the ``nemes`` and ``theorem`` b_n routes, series division
+and ``gregory harmonic N``.  It scales in two levels over whole runs of
+denominators, so that a large numerator meets a small multiplier.  A caller
+builds the runs' lcms and weights once (:func:`lcm_plan`) and sums every
+prefix it needs against that plan.
 """
 
 from fractions import Fraction
@@ -36,11 +38,12 @@ _BLOCK = 16
 
 def lcm_plan(dens):
     """The fixed part of every :func:`lcm_sum` over a prefix of ``dens``, a
-    sequence of positive ints, built once per column.
+    sequence of nonzero ints of either sign, built once.
 
     A tuple (dens, lcms, weights, whole): per run dens[b:b + _BLOCK] its own
     lcm Lb and the small weights Lb // d, and whole[i], the lcm of the first
-    i runs (whole[0] = 1)."""
+    i runs (whole[0] = 1).  ``math.lcm`` is non-negative and Lb is a multiple
+    of every d of its run, so Lb // d is exact and carries the sign of d."""
     runs = [dens[b : b + _BLOCK] for b in range(0, len(dens), _BLOCK)]
     lcms = [lcm(*run) for run in runs]
     weights = [[lb // d for d in run] for run, lb in zip(runs, lcms)]
@@ -49,28 +52,22 @@ def lcm_plan(dens):
 
 def lcm_sum(nums, plan):
     """(S, L): the sum of nums[i]/dens[i] over the first m = len(nums)
-    denominators of the plan's ``dens``, as the integer S over
-    L = lcm(dens[:m]), unreduced; (0, 1) for no terms.
+    denominators of the plan's ``dens``, as the integer S over L, unreduced;
+    (0, 1) for no terms.
 
-    Each run's numerators are summed against its small weights Lb // d, and
-    each run sum is then scaled once by L // Lb.  The runs that end by m come
-    from the plan; only a last run cut short by m has its lcm and weights
-    computed here."""
+    The sum reads whole runs of the plan: each run's numerators are summed
+    against its small weights Lb // d, and each run sum is then scaled once
+    by L // Lb.  A last run cut short by m reads only its first weights.  So
+    L = whole[ceil(m / _BLOCK)], the lcm of the runs reached, a multiple of
+    lcm(dens[:m])."""
     dens, lcms, weights, whole = plan
     m = len(nums)
     if m > len(dens):
         raise ValueError("%d numerators for %d denominators" % (m, len(dens)))
-    full = len(lcms) if m == len(dens) else m // _BLOCK
-    runs = list(zip(lcms[:full], weights[:full]))
-    big = whole[full]
-    if full * _BLOCK < m:
-        cut = dens[full * _BLOCK : m]
-        lb = lcm(*cut)
-        runs.append((lb, [lb // d for d in cut]))
-        big = lcm(big, lb)
+    big = whole[-(-m // _BLOCK)]
     total = sum(
         (big // lb) * sum(map(mul, nums[b : b + _BLOCK], w))
-        for b, (lb, w) in zip(range(0, m, _BLOCK), runs)
+        for b, lb, w in zip(range(0, m, _BLOCK), lcms, weights)
     )
     return total, big
 
@@ -154,33 +151,28 @@ def series_div_pairs(num, den):
     j <= len(num) - 1.
 
     The dividend is scaled to integers, num = N/Ln.  The divisor's tail
-    den[1:] is cut into the runs of its :func:`lcm_plan` over L1, the lcm of
-    its denominators, with each numerator folded into its block weight: W[m] =
-    L1 den[m] is the block's factor times a small weight.  Every quotient
-    coefficient found so far is held as an integer numerator P[i] over one
-    running denominator R, a multiple of Ln, and kept newest first, so that
-    each block reads its P[j-m] from one slice.  Then
-    q[j] = (N[j] L1 R/Ln - sum_m P[j-m] W[m]) / (R L1 den[0]) is an integer
-    sum, summed block by block, with one gcd per coefficient.
+    den[1:] gets one :func:`lcm_plan` over its denominators, with each
+    numerator folded into its weight, so that (S, L) = lcm_sum(P, plan) is
+    sum_i P[i] den[1+i] as S/L.  Every quotient coefficient found so far is
+    held as an integer numerator over one running denominator R, a multiple
+    of Ln, in P newest first: P[i] belongs to q[j-1-i], which meets den[1+i].
+    Then q[j] = (N[j] L R/Ln - S) / (R L den[0]), with one gcd per
+    coefficient.
     """
     lead, *tail = den
     if lead == 0:
         raise ZeroDivisionError("leading coefficient of divisor is zero")
     big_n, ln = _over_lcm(num)
     tail_n = [c.numerator for c in tail]
-    _, lcms, weights, whole = lcm_plan([c.denominator for c in tail])
-    l1 = whole[-1]
-    blocks = [
-        (b, list(map(mul, tail_n[b : b + _BLOCK], w)), l1 // lb)
-        for b, w, lb in zip(range(0, len(tail), _BLOCK), weights, lcms)
-    ]
+    dens, lcms, weights, whole = lcm_plan([c.denominator for c in tail])
+    runs = zip(range(0, len(tail), _BLOCK), weights)
+    plan = dens, lcms, [list(map(mul, tail_n[b : b + _BLOCK], w)) for b, w in runs], whole
     r = ln
     p = []  # P[j-1], P[j-2], ..., P[0]
     q = []
-    for j, nj in enumerate(big_n):
-        live = blocks[: (j + _BLOCK - 1) // _BLOCK]  # the blocks with start < j
-        s = nj * l1 * (r // ln) - sum(f * sum(map(mul, p[b : b + _BLOCK], w)) for b, w, f in live)
-        c = Fraction(s * lead.denominator, r * l1 * lead.numerator)
+    for nj in big_n:
+        s, big = lcm_sum(p, plan)
+        c = Fraction((nj * big * (r // ln) - s) * lead.denominator, r * big * lead.numerator)
         q.append(c)
         grow = c.denominator // gcd(r, c.denominator)
         if grow > 1:

@@ -10,11 +10,12 @@ routes reach the same numbers through the Stirling triangle:
 * ``ank``:      b_n = (-1)^n (1/n!) (1/(n+1) + sum_{k=2}^{n}
                 (a(n,k) - n a(n-1,k)) / k!), valid for n >= 2
 
-``nemes`` and ``theorem`` sum through :func:`gregory._kernels.lcm_sum`
-against one lcm plan of their denominators per column; ``ank`` stays off the
-kernel, so that a fault of the kernel cannot pass as agreement.  It sums each
-a-row once, in Horner form, and reads b_n from the sums of rows n and n-1
-(:func:`_ank`).
+``nemes`` and ``theorem`` are one row formula, :func:`_row_sum`: one
+:func:`gregory._kernels.lcm_sum` against a per-column lcm plan of the route's
+denominators, k+1 for s(n,.) or (-1)^k (k+1)(k+2) for s(n-1,.), whose k = 0
+term adds s(n-1,0) = 0.  ``ank`` stays off the kernel, so that a fault of the
+kernel cannot pass as agreement.  It sums each a-row once, in Horner form,
+and reads b_n from the sums of rows n and n-1 (:func:`_ank`).
 
 All four must agree bit-exactly as normalized rationals; the report built by
 :func:`bernoulli2_report` records that agreement per n.  :data:`ROUTES` is the
@@ -47,25 +48,20 @@ __all__ = [
 
 
 def _theorem_plan(max_n):
-    """The denominators (k+1)(k+2), k = 1..max_n-1, of every b_n <= b_max_n."""
-    return _kernels.lcm_plan([(k + 1) * (k + 2) for k in range(1, max_n)])
-
-
-def _theorem(n, s_prev, plan):
-    """b_n from s(n-1, 0..n-1), one kernel sum over lcm((k+1)(k+2)) = lcm(2..n+1)."""
-    nums = [-s_prev[k] if k & 1 else s_prev[k] for k in range(1, n)]
-    total, big_l = _kernels.lcm_sum(nums, plan)
-    return Fraction(total, big_l * factorial(n))
+    """The denominators (-1)^k (k+1)(k+2), k = 0..max_n-1, of every b_n <= b_max_n
+    by ``theorem``; the k = 0 term adds s(n-1,0) = 0 for n >= 2."""
+    return _kernels.lcm_plan([(-1) ** k * (k + 1) * (k + 2) for k in range(max_n)])
 
 
 def _nemes_plan(max_n):
-    """The denominators k+1, k = 0..max_n, of every b_n <= b_max_n."""
+    """The denominators k+1, k = 0..max_n, of every b_n <= b_max_n by ``nemes``."""
     return _kernels.lcm_plan(range(1, max_n + 2))
 
 
-def _nemes(n, s_row, plan):
-    """b_n from s(n, 0..n), one kernel sum over lcm(1..n+1)."""
-    total, big_l = _kernels.lcm_sum(s_row, plan)
+def _row_sum(n, row, plan):
+    """(1/n!) sum_k row[k]/dens[k] by one kernel sum: b_n from s(n,.) against
+    :func:`_nemes_plan`, and from s(n-1,.) against :func:`_theorem_plan`."""
+    total, big_l = _kernels.lcm_sum(row, plan)
     return Fraction(total, big_l * factorial(n))
 
 
@@ -96,14 +92,14 @@ def bernoulli2_theorem(n: int, triangle: StirlingTriangle) -> Fraction:
     """b_n from row n-1 of the triangle with weights (-1)^k / ((k+1)(k+2))."""
     if n < 2:
         raise ValueError("this formula is stated for n >= 2")
-    return _theorem(n, triangle.row(n - 1), _theorem_plan(n))
+    return _row_sum(n, triangle.row(n - 1), _theorem_plan(n))
 
 
 def bernoulli2_nemes(n: int, triangle: StirlingTriangle) -> Fraction:
     """b_n from row n of the triangle with weights 1/(k+1); valid for n >= 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _nemes(n, triangle.row(n), _nemes_plan(n))
+    return _row_sum(n, triangle.row(n), _nemes_plan(n))
 
 
 def bernoulli2_ank(n: int, a: ASequence) -> Fraction:
@@ -126,7 +122,7 @@ def _nemes_stream(max_n, start):
     plan = _nemes_plan(max_n)
     for n, s_row in enumerate(_kernels.stirling_rows(max_n)):
         if n >= start:
-            yield _nemes(n, s_row, plan)
+            yield _row_sum(n, s_row, plan)
 
 
 def _theorem_stream(max_n, start):
@@ -135,7 +131,7 @@ def _theorem_stream(max_n, start):
     plan = _theorem_plan(max_n)
     for n, s_prev in enumerate(_kernels.stirling_rows(max_n - 1), 1):
         if n >= start:
-            yield _theorem(n, s_prev, plan)
+            yield _row_sum(n, s_prev, plan)
 
 
 def _ank_stream(max_n, start):

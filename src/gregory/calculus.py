@@ -49,7 +49,10 @@ def evaluate_expansion(coeffs, x: float) -> float:
     """Evaluate the expansion [c_1..c_n] at finite x > 0, x != 1 (1/ln x has a
     pole at 1).
 
-    Raises ValueError when a term or the result does not fit in a float.
+    The sum of c_k u^(k+1) / x^n is exact, in the binary fractions x and
+    u = 1/ln x (a float), and rounded to a float once, so a c_k past float
+    range does not overflow a value that fits.  Raises ValueError when the
+    value does not fit in a float, or rounds to 0 though it is not 0.
     """
     if not math.isfinite(x):
         raise ValueError("x must be finite, got %r" % x)
@@ -58,12 +61,16 @@ def evaluate_expansion(coeffs, x: float) -> float:
     if x == 1:
         raise ValueError("x = 1 is the pole of 1/ln x")
     n = len(coeffs)
-    u = 1.0 / math.log(x)
+    u = Fraction(1.0 / math.log(x))
+    poly = 0
+    for c in reversed(coeffs):
+        poly = poly * u + c
+    exact = poly * u * u / Fraction(x) ** n
     try:
-        value = math.fsum(c * u ** (k + 1) for k, c in enumerate(coeffs, 1)) / x ** n
-    except (OverflowError, ZeroDivisionError):  # x ** n overflowed or underflowed
+        value = float(exact)
+    except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
+    if math.isinf(value) or (value == 0 and exact != 0):
         raise ValueError("derivative of order %d at x=%r is beyond float range" % (n, x))
     return value
 

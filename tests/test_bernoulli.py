@@ -133,7 +133,7 @@ def test_single_value_reads_b_n_alone_from_tables_built_to_n(monkeypatch):
     # The route streams resolve their row formulas and the kernel's row
     # generator by module-level name, so rebinding them sees every call.
     calls, built_to = [], []
-    for name in ("_nemes", "_theorem", "_ank"):
+    for name in ("_row_sum", "_ank"):
         real = getattr(bernoulli, name)
         monkeypatch.setattr(
             bernoulli,

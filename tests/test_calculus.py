@@ -1,6 +1,7 @@
 """Derivatives of 1/ln x: exact coefficients and the finite-difference verifier."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,10 @@ from gregory import (
     FiniteDifferenceResult,
     central_difference_weights,
     evaluate_expansion,
+    expansion_from_row,
     finite_difference_check,
     reciprocal_log_derivative_coeffs,
+    stirling_row,
     stirling_triangle,
 )
 
@@ -66,9 +69,32 @@ def test_evaluate_domain(triangle):
         evaluate_expansion(e, 0.0)
     with pytest.raises(ValueError):
         evaluate_expansion(e, -2.0)
-    # 1e-300 ** 2 underflows to 0.0: the value is beyond float range.
+    # The value, about 1e600 / ln(1e-300)**2, is beyond float range.
     with pytest.raises(ValueError, match="beyond float range"):
         evaluate_expansion(reciprocal_log_derivative_coeffs(2, triangle), 1e-300)
+
+
+@pytest.mark.parametrize("n, x", [(170, 10.0), (158, 3.0)])
+def test_evaluate_matches_decimal_where_the_coefficients_pass_float_range(n, x):
+    # The largest c_k passes float range at these orders, but f^(n)(x) does
+    # not: about 4.8e143 at (170, 10.0) and 2.5e232 at (158, 3.0).  The
+    # oracle sums the same closed form in 60-digit Decimal, with its own ln.
+    coeffs = expansion_from_row(n, stirling_row(n))
+    assert max(map(abs, coeffs)) > 10**309
+    with localcontext() as ctx:
+        ctx.prec = 60
+        u = 1 / Decimal(x).ln()
+        expected = sum(Decimal(c) * u ** (k + 1) for k, c in enumerate(coeffs, 1)) / Decimal(x) ** n
+    assert evaluate_expansion(coeffs, x) == pytest.approx(float(expected), rel=1e-12)
+
+
+def test_evaluate_refuses_a_value_past_float_range_either_way():
+    # f^(400)(10) is past 1e308; f''(1e300), about 2e-606, is not 0 but
+    # rounds to 0.0.
+    with pytest.raises(ValueError, match="order 400 at x=10.0 is beyond float range"):
+        evaluate_expansion(expansion_from_row(400, stirling_row(400)), 10.0)
+    with pytest.raises(ValueError, match="order 2 at x=1e\\+300 is beyond float range"):
+        evaluate_expansion(expansion_from_row(2, stirling_row(2)), 1e300)
 
 
 def test_central_weights_match_standard_tables():

@@ -149,22 +149,30 @@ def test_mul_pairs_is_the_fraction_cauchy_product(case):
     assert result == product
 
 
+_den = st.integers(-60, 60).filter(bool)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(1, 60)), max_size=_SEAMS))
+@given(st.lists(st.tuples(st.integers(-10**30, 10**30), _den), max_size=_SEAMS))
 # Always run no terms, negative numerators and repeated denominators.
 @example([])
 @example([(-3, 4), (5, 4), (-7, 6), (0, 6), (1, 1)])
+# Negative denominators, alone and beside their positive twins.
+@example([(5, -3), (-7, 3), (2, -60), (1, -1)])
 # Always cross three block seams: the prefixes include m = 0, the multiples
 # of _BLOCK, and a run cut short on each side of every seam.
 @example([((-1) ** i * (i + 1) ** 20, i % 60 + 1) for i in range(_SEAMS)])
 def test_lcm_sum_is_the_fraction_sum_over_the_lcm(terms):
-    # One plan serves the sum over every prefix of its denominators.
+    # One plan serves the sum over every prefix of its denominators.  The
+    # sum reads whole runs, so L is the lcm of every run it reaches.
     nums = [n for n, _ in terms]
     dens = [d for _, d in terms]
     plan = _kernels.lcm_plan(dens)
+    block = _kernels._BLOCK
     for m in range(len(terms) + 1):
         total, big = _kernels.lcm_sum(nums[:m], plan)
-        assert big == lcm(*dens[:m])
+        assert big == lcm(*dens[: -(-m // block) * block])
+        assert big % lcm(*dens[:m]) == 0
         assert Fraction(total, big) == sum(map(Fraction, nums[:m], dens), Fraction(0))
 
 
