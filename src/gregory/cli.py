@@ -23,16 +23,21 @@ the row's numbers, ints for stirling1 and deriv and Decimals for probe;
 the row once, joining its entries' str() with no escaping: such text has no
 character that JSON escapes or CSV quotes.  Exact values are printed in full
 however many digits they have.  Exit codes: 0 success, 1 usage or domain
-error (an input too large to allocate included), 2 verification failure.
-The parser and the commands raise a usage or domain error as ValueError,
-which :func:`main` prints as one ``error:`` line.  A reader that closes the
-output pipe early ends the command quietly with exit 1.
+error (an input too large to allocate or to index included), 2
+verification failure.  The parser and the commands raise a usage or domain
+error as ValueError, which :func:`main` prints as one ``error:`` line.  A
+reader that closes the output pipe early ends the command quietly with
+exit 1.
 
 Fixed argument bounds are declared once, in the parser, and checked with
 the rest of argv before any output: n >= 0 for stirling1, bernoulli2 and
 harmonic; n >= 1 for ank and deriv; --max-n >= 2; --repeat >= 1; --digits
 >= 0.  Bounds that depend on another argument (k, a route's first n,
 deriv --check needing x) are checked by the command, also before it writes.
+Each subcommand is declared once, in :data:`_SUBCOMMANDS`, and each call
+of :func:`main` builds the parser of the subcommand it runs, named by argv's
+first word; all eight are built only for the help and for a missing or
+unknown subcommand, whose usage error lists them.
 """
 
 import argparse
@@ -476,7 +481,72 @@ def _at_least(low):
     return parse
 
 
-def build_parser():
+def _stirling1_arguments(p):
+    p.add_argument("n", type=_at_least(0))
+    p.add_argument("k", type=int, nargs="?")
+
+
+def _bernoulli2_arguments(p):
+    p.add_argument("n", type=_at_least(0))
+    # The default is the first route, the reference column.  The choices are
+    # read from the registry each time the parser is built.
+    p.add_argument("--method", choices=(*ROUTES, "all"), default=next(iter(ROUTES)))
+
+
+def _harmonic_arguments(p):
+    p.add_argument("n", type=_at_least(0))
+
+
+def _ank_arguments(p):
+    p.add_argument("n", type=_at_least(1))
+    p.add_argument("k", type=int)
+
+
+def _max_n_argument(p):
+    p.add_argument("--max-n", type=_at_least(2), required=True)
+
+
+def _bench_arguments(p):
+    _max_n_argument(p)
+    p.add_argument("--repeat", type=_at_least(1), default=1)
+
+
+def _deriv_arguments(p):
+    p.add_argument("n", type=_at_least(1))
+    p.add_argument("x", type=float, nargs="?")
+    p.add_argument(
+        "--check",
+        nargs=2,
+        type=float,
+        metavar=("H", "TOL"),
+        help="verify against a central finite difference with step H at relative tolerance TOL",
+    )
+
+
+# One declaration per subcommand, in the order the help lists them: its
+# command, its help, whether it takes --digits, and the function that adds
+# its own arguments.
+_SUBCOMMANDS = {
+    "stirling1": (cmd_stirling1, "signed s(n,k) or a whole row", False, _stirling1_arguments),
+    "bernoulli2": (
+        cmd_bernoulli2,
+        "Bernoulli number of the second kind b_n",
+        True,
+        _bernoulli2_arguments,
+    ),
+    "harmonic": (cmd_harmonic, "harmonic number H(n)", True, _harmonic_arguments),
+    "ank": (cmd_ank, "auxiliary table value a(n,k)", False, _ank_arguments),
+    "crosscheck": (cmd_crosscheck, "verify every b_n route agrees", True, _max_n_argument),
+    "probe": (cmd_probe, "row-shape probe of the a(n,k) table", False, _max_n_argument),
+    "bench": (cmd_bench, "time every b_n route", False, _bench_arguments),
+    "deriv": (cmd_deriv, "n-th derivative of 1/ln x", False, _deriv_arguments),
+}
+
+
+def build_parser(command=None):
+    """The top-level parser with the parser of subcommand ``command`` alone,
+    or with all eight when ``command`` is None or names none of them: the
+    help, and the usage error that lists the subcommands, need them all."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -499,56 +569,12 @@ def build_parser():
         "of the first kind, and friends, cross-checked across independent formulas.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("stirling1", parents=[common], help="signed s(n,k) or a whole row")
-    p.add_argument("n", type=_at_least(0))
-    p.add_argument("k", type=int, nargs="?")
-    p.set_defaults(func=cmd_stirling1)
-
-    p = sub.add_parser(
-        "bernoulli2", parents=[common, digits], help="Bernoulli number of the second kind b_n"
-    )
-    p.add_argument("n", type=_at_least(0))
-    # The default is the first route, the reference column.
-    p.add_argument("--method", choices=(*ROUTES, "all"), default=next(iter(ROUTES)))
-    p.set_defaults(func=cmd_bernoulli2)
-
-    p = sub.add_parser("harmonic", parents=[common, digits], help="harmonic number H(n)")
-    p.add_argument("n", type=_at_least(0))
-    p.set_defaults(func=cmd_harmonic)
-
-    p = sub.add_parser("ank", parents=[common], help="auxiliary table value a(n,k)")
-    p.add_argument("n", type=_at_least(1))
-    p.add_argument("k", type=int)
-    p.set_defaults(func=cmd_ank)
-
-    p = sub.add_parser(
-        "crosscheck", parents=[common, digits], help="verify every b_n route agrees"
-    )
-    p.add_argument("--max-n", type=_at_least(2), required=True)
-    p.set_defaults(func=cmd_crosscheck)
-
-    p = sub.add_parser("probe", parents=[common], help="row-shape probe of the a(n,k) table")
-    p.add_argument("--max-n", type=_at_least(2), required=True)
-    p.set_defaults(func=cmd_probe)
-
-    p = sub.add_parser("bench", parents=[common], help="time every b_n route")
-    p.add_argument("--max-n", type=_at_least(2), required=True)
-    p.add_argument("--repeat", type=_at_least(1), default=1)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("deriv", parents=[common], help="n-th derivative of 1/ln x")
-    p.add_argument("n", type=_at_least(1))
-    p.add_argument("x", type=float, nargs="?")
-    p.add_argument(
-        "--check",
-        nargs=2,
-        type=float,
-        metavar=("H", "TOL"),
-        help="verify against a central finite difference with step H at relative tolerance TOL",
-    )
-    p.set_defaults(func=cmd_deriv)
-
+    for name in (command,) if command in _SUBCOMMANDS else _SUBCOMMANDS:
+        func, help_text, takes_digits, add_arguments = _SUBCOMMANDS[name]
+        parents = [common, digits] if takes_digits else [common]
+        p = sub.add_parser(name, parents=parents, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -570,7 +596,10 @@ def _exact_int_rendering():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # A command's first word names its subcommand, the one parser it needs.
+    parser = build_parser(argv[0] if argv else None)
     try:
         # argv is parsed under the cap; only the command's output is lifted.
         args = parser.parse_args(argv)
@@ -587,6 +616,11 @@ def main(argv=None) -> int:
         # An n so large that its first list cannot be allocated
         # (``bernoulli2 10**15``); the exception carries no message of its own.
         print("error: out of memory: the input is too large", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError:
+        # An n past sys.maxsize, which no list or range can be sized by
+        # (``harmonic 10**20``).  The exception's own text names a C type.
+        print("error: the input is too large: past sys.maxsize", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         # The reader closed stdout early (``gregory probe ... | head``).  Point

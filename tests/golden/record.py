@@ -124,6 +124,13 @@ def cases():
         # an n past what memory holds
         ["bernoulli2", "1000000000000000"],
         ["bernoulli2", "1000000000000000", "--format", "json"],
+        # an n past sys.maxsize, which no list can be indexed by
+        ["harmonic", "100000000000000000000"],
+        ["bernoulli2", "100000000000000000000"],
+        ["bernoulli2", "100000000000000000000", "--method", "nemes"],
+        ["bernoulli2", "100000000000000000000", "--method", "all"],
+        ["crosscheck", "--max-n", "100000000000000000000"],
+        ["bench", "--max-n", "100000000000000000000"],
     )
 
 

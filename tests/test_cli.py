@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -120,6 +121,24 @@ def test_bernoulli2_past_memory_is_a_clean_error(fmt, capsys):
     code, out, err = run(["bernoulli2", "1000000000000000", "--format", fmt], capsys)
     assert (code, out) == (1, "")
     assert err == "error: out of memory: the input is too large\n"
+
+
+HUGE = "100000000000000000000"  # 10**20, past sys.maxsize
+
+
+@pytest.mark.parametrize("argv", [
+    ["harmonic", HUGE],
+    ["bernoulli2", HUGE],
+    ["bernoulli2", HUGE, "--method", "nemes"],
+    ["bernoulli2", HUGE, "--method", "all", "--format", "json"],
+    ["crosscheck", "--max-n", HUGE],
+    ["bench", "--max-n", HUGE, "--format", "csv"],
+])
+def test_n_past_the_index_range_is_a_clean_error(argv, capsys):
+    # The first list or range such an n sizes cannot be indexed.
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: the input is too large: past sys.maxsize\n"
 
 
 def test_bernoulli2_theorem_below_stated_domain(capsys):
@@ -584,6 +603,50 @@ def test_unknown_command_is_usage_error(capsys):
     assert code == 1
 
 
+def _subcommands(parser):
+    """The subcommands a parser registered, in order, from its usage line."""
+    return re.search(r"\{(.*)\}", parser.format_usage()).group(1).split(",")
+
+
+ALL_EIGHT = ["stirling1", "bernoulli2", "harmonic", "ank", "crosscheck", "probe", "bench", "deriv"]
+
+
+def test_build_parser_registers_the_named_subcommand_or_all_eight():
+    assert _subcommands(cli.build_parser("crosscheck")) == ["crosscheck"]
+    assert _subcommands(cli.build_parser()) == ALL_EIGHT
+    assert _subcommands(cli.build_parser("nosuch")) == ALL_EIGHT
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["crosscheck", "--max-n", "3"], ["crosscheck"]),
+    (["stirling1", "4", "--format", "json"], ["stirling1"]),
+    (["frobnicate"], ALL_EIGHT),
+    ([], ALL_EIGHT),
+])
+def test_main_builds_the_parser_of_the_command_it_runs(argv, built, capsys, monkeypatch):
+    progs = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            progs.append(kwargs["prog"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    code, _, _ = run(argv, capsys)
+    assert code == (0 if argv and argv[0] in ALL_EIGHT else 1)
+    assert progs == ["gregory"] + ["gregory " + name for name in built]
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: gregory [-h]\n")
+    assert "{%s}" % ",".join(ALL_EIGHT) in out
+    assert "    crosscheck          verify every b_n route agrees\n" in out
+
+
 def _json_values(out):
     records = json.loads(out)
     values = []
@@ -670,8 +733,8 @@ def test_only_emit_reads_the_format(argv, fmt, capsys, monkeypatch):
     real_build_parser, real_emit = cli.build_parser, cli.emit
     seen = []
 
-    def build_parser():
-        parser = real_build_parser()
+    def build_parser(*args):
+        parser = real_build_parser(*args)
         parse_args = parser.parse_args
 
         def parse_uncomparable(argv):
