@@ -4,8 +4,9 @@ a(n,k), each computable by several independent formulas that are cross-checked
 for bit-exact agreement.
 
 All sequence values are exact: arbitrary-precision integers or normalized
-rationals.  Floating point only appears in the numeric finite-difference
-verifier for the 1/ln x derivative formula.
+rationals.  Floating point only appears where the 1/ln x derivative formula
+meets a float x: its value there and its finite-difference check, both
+evaluated in Decimal and rounded to floats once.
 
 The hot loops (the Stirling row recursion, nested sums, series products and
 division) live in :mod:`gregory._kernels`; the ``bench`` CLI subcommand times

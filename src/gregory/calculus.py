@@ -8,16 +8,17 @@ plus one and n is the length, giving
 
 The verifier is deliberately independent of the Stirling machinery: it
 estimates the derivative by a central finite-difference stencil whose weights
-are solved exactly from the moment conditions, then compares in double
-precision at a relative tolerance.
+are solved exactly from the moment conditions.  Both are summed in Decimal,
+at enough digits that their difference is the stencil's truncation alone.
 """
 
 import math
-import sys
 from collections import namedtuple
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 
 from .asequence import a_row
+from .exact import EXACT_DECIMAL
 from .stirling import StirlingTriangle, stirling_row
 
 __all__ = [
@@ -45,33 +46,46 @@ def expansion_from_row(n: int, s_row) -> list:
     return [(-1) ** n * a for a in a_row(n, s_row)]
 
 
-def evaluate_expansion(coeffs, x: float) -> float:
-    """Evaluate the expansion [c_1..c_n] at finite x > 0, x != 1 (1/ln x has a
-    pole at 1).
+def _context(digits):
+    """Quiet rounding to that precision at any exponent (cli.main's context traps it)."""
+    return Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
-    The sum of c_k u^(k+1) / x^n is exact, in the binary fractions x and
-    u = 1/ln x (a float), and rounded to a float once, so a c_k past float
-    range does not overflow a value that fits.  Raises ValueError when the
-    value does not fit in a float, or rounds to 0 though it is not 0.
-    """
+
+def _closed_form(coeffs, x):
+    """x^(-n) sum_k c_k u^(k+1), u = 1/ln x, at a Decimal x in the current
+    context, each c_k cut to its leading 4*prec bits (a whole big int converts
+    in quadratic time); and the sum of |c_k u^(k+1)|, a bound for its error."""
+    u, bits = 1 / x.ln(), 4 * getcontext().prec
+    poly = bound = 0
+    for c in reversed(coeffs):
+        shift = max(0, c.bit_length() - bits)
+        c = Decimal(c >> shift) * Decimal(2) ** shift
+        poly, bound = poly * u + c, bound * abs(u) + abs(c)
+    scale = u * u / x ** len(coeffs)
+    return poly * scale, bound * abs(scale)
+
+
+def evaluate_expansion(coeffs, x: float) -> float:
+    """Evaluate the expansion [c_1..c_n] at finite x > 0, x != 1 (the pole of 1/ln x),
+    in Decimal at the exact x, at 40 digits and more while its terms cancel
+    (0 < x < 1), rounded to a float once.  Raises ValueError when the value is
+    beyond float range: it overflows, or it rounds to 0."""
     if not math.isfinite(x):
         raise ValueError("x must be finite, got %r" % x)
     if x <= 0:
         raise ValueError("x must be positive")
     if x == 1:
         raise ValueError("x = 1 is the pole of 1/ln x")
-    n = len(coeffs)
-    u = Fraction(1.0 / math.log(x))
-    poly = 0
-    for c in reversed(coeffs):
-        poly = poly * u + c
-    exact = poly * u * u / Fraction(x) ** n
-    try:
-        value = float(exact)
-    except OverflowError:
-        value = math.inf
-    if math.isinf(value) or (value == 0 and exact != 0):
-        raise ValueError("derivative of order %d at x=%r is beyond float range" % (n, x))
+    digits = 40
+    while True:
+        with localcontext(_context(digits)):
+            exact, bound = _closed_form(coeffs, Decimal(x))
+        if exact and bound.adjusted() - exact.adjusted() < digits - 25:  # 25 digits survive
+            break
+        digits *= 2
+    value = float(exact)
+    if not 0 < abs(value) < math.inf:
+        raise ValueError("derivative of order %d at x=%r is beyond float range" % (len(coeffs), x))
     return value
 
 
@@ -104,8 +118,8 @@ FiniteDifferenceResult = namedtuple(
 )
 FiniteDifferenceResult.__doc__ = """The verdict passed; residual, the relative
 deviation between stencil and closed form; expected, the closed-form value;
-estimate, the stencil value; floor, the error the stencil is expected to
-make, relative like residual."""
+estimate, the stencil value; floor, the stencil's truncation error, relative
+like residual.  All but passed are floats, rounded from Decimal."""
 
 
 def finite_difference_check(n: int, x: float, h: float, tol: float) -> FiniteDifferenceResult:
@@ -114,14 +128,11 @@ def finite_difference_check(n: int, x: float, h: float, tol: float) -> FiniteDif
     Supports 1 <= n <= 6.  The stencil must stay strictly right of the pole
     at t = 1, so x - m*h > 1 is required (m is the stencil half-width).
 
-    The result also carries the error floor of the stencil at this step,
-    relative to |f^(n)(x)| like the residual: truncation |C h^2 f^(n+2)(x)|,
-    with C = sum_j w_j j^(n+2) / (n+2)! the first moment the weights leave
-    unmatched and f^(n+2) from the closed form, plus the round-off
-    eps * sum_j |w_j f(x + j h)| / h^n of summing the stencil in double
-    precision.  A step so small that two stencil points x + j*h round to
-    the same float is rejected with ValueError: the estimate would then be
-    round-off, and its residual no verdict on the formula.
+    The points x + j*h are exact Decimals, and the stencil is summed at 30
+    digits more than its cancellation costs, about (n+2) log10(x/h), so the
+    residual is its truncation alone (n = 6 at h = 5e-324 takes seconds).  The
+    floor is that truncation's leading term |C h^2 f^(n+2)(x) / f^(n)(x)|, with
+    C = sum_j w_j j^(n+2) / (n+2)! the first moment the weights leave unmatched.
     """
     if not 1 <= n <= MAX_CHECK_ORDER:
         raise ValueError("n must be in [1, %d]" % MAX_CHECK_ORDER)
@@ -134,34 +145,22 @@ def finite_difference_check(n: int, x: float, h: float, tol: float) -> FiniteDif
     if x <= 1:
         raise ValueError("x must be > 1 to keep the stencil away from the pole")
     offsets, weights = central_difference_weights(n)
-    points = [x + j * h for j in offsets]
+    x, h = Decimal(x), Decimal(h)
+    points = [EXACT_DECIMAL.fma(j, h, x) for j in offsets]
     if points[0] <= 1:
         raise ValueError("stencil [%g, %g] crosses the pole at t = 1" % (points[0], points[-1]))
-    # Coinciding points make the estimate say nothing about the formula; for
-    # x > 1 this also covers every h whose h**n underflows to 0.
-    if len(set(points)) < len(points):
-        raise ValueError(
-            "step h=%g too small: the stencil points x + j*h at x=%r are not all distinct" % (h, x)
-        )
-    expected = evaluate_expansion(expansion_from_row(n, stirling_row(n)), x)
-    terms = [float(w) / math.log(t) for t, w in zip(points, weights)]
-    estimate = math.fsum(terms) / h ** n
-    residual = abs(estimate - expected) / abs(expected)
-    if not math.isfinite(residual):
-        raise ValueError("step h=%g too small: the stencil estimate is %r" % (h, estimate))
-    moment = sum(w * Fraction(j) ** (n + 2) for j, w in zip(offsets, weights))
-    try:
-        higher = evaluate_expansion(expansion_from_row(n + 2, stirling_row(n + 2)), x)
-    except ValueError:  # it would name order n+2, which the user did not ask for
-        raise ValueError(
-            "the error floor of the order-%d check at x=%r is beyond float range" % (n, x)
-        ) from None
-    truncation = abs(float(moment / math.factorial(n + 2)) * h * h * higher)
-    roundoff = sys.float_info.epsilon * math.fsum(map(abs, terms)) / h ** n
+    moment = sum(w * j ** (n + 2) for j, w in zip(offsets, weights)) / math.factorial(n + 2)
+    with localcontext(_context(30)):
+        higher, _ = _closed_form(expansion_from_row(n + 2, stirling_row(n + 2)), x)
+        truncation = abs(moment.numerator * higher / moment.denominator) * h ** (n + 2)
+        # 1/ln t falls on t > 1: the term at the leftmost point is the largest.
+        spread = math.ceil(sum(map(abs, weights))) / points[0].ln()
+    with localcontext(_context(30 + max(0, spread.adjusted() - truncation.adjusted()))):
+        expected, _ = _closed_form(expansion_from_row(n, stirling_row(n)), x)
+        terms = [w.numerator / (w.denominator * t.ln()) for t, w in zip(points, weights)]
+        estimate = sum(terms) / h ** n
+        residual = float(abs(estimate - expected) / abs(expected))
+        floor = float(truncation / h ** n / abs(expected))
     return FiniteDifferenceResult(
-        passed=residual <= tol,
-        residual=residual,
-        expected=expected,
-        estimate=estimate,
-        floor=(truncation + roundoff) / abs(expected),
+        residual <= tol, residual, float(expected), float(estimate), floor
     )

@@ -107,14 +107,17 @@ def cases():
         ["deriv", "1", "--check", "1e-4", "1e-6"],
         ["deriv", "7", "3.0", "--check", "1e-3", "1e-4"],
         ["deriv", "6", "3.0", "--check", "1e-60", "1e-6"],
-        # steps at which stencil points coincide: an error, not a verdict
+        # steps at which the points of a double-precision stencil coincided
         ["deriv", "1", "2", "--check", "5e-324", "1"],
         ["deriv", "1", "2", "--check", "5e-324", "1", "--format", "json"],
         ["deriv", "3", "1.5", "--check", "1e-17", "2"],
         ["deriv", "2", "1e-300"],
         ["deriv", "3", "2.0", "--check", "1e-3", "-1"],
-        # the check's error floor, not the derivative asked for, leaves float range
+        # the floor's f^(3)(x), not the derivative asked for, is past float range
         ["deriv", "1", "1e300", "--check", "1e299", "1"],
+        # a stencil next to the pole, which double precision mis-measured
+        ["deriv", "6", "1.0000001", "--check", "1e-9", "1"],
+        ["deriv", "6", "1.0000001", "--check", "1e-9", "1", "--format", "json"],
         # --digits past the Decimal exponent range
         ["harmonic", "5", "--digits", "1000000000000000000"],
         ["bernoulli2", "5", "--digits", "1000000000000000000"],
