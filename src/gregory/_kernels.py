@@ -1,11 +1,13 @@
 """Kernels for the hot loops: the Stirling row recursion, nested sums, series
-products and long division.
+products, powers and long division.
 
 Every exact sum in the package shares one substrate: it scales its terms to
 integers over one denominator, adds integers only, and reduces once per
 output entry.  The series kernels take coefficient sequences of ints or
 ``Fraction``s, scale each through :func:`_over_lcm`, and return a list of
-``Fraction``s, each built once from its integer sum.  The nested sum table
+``Fraction``s, each built once from its integer sum.  The power of a series
+is J.C.P. Miller's recurrence, O(N^2) coefficient products whatever the
+exponent, not k Cauchy products.  The nested sum table
 returns ``(num, den)`` tuples of Python ints with ``den > 0`` and
 ``gcd(num, den) == 1``, reduced through :func:`_reduced`.
 
@@ -131,6 +133,18 @@ def nested_sum_table(max_depth, max_top):
     return table
 
 
+def _push(p, r, c):
+    """Put the ``Fraction`` c at the front of P, integer numerators over one
+    running denominator R, and return the new R: the lcm of R and c's
+    denominator, with every numerator already in P rescaled to it."""
+    grow = c.denominator // gcd(r, c.denominator)
+    if grow > 1:
+        r *= grow
+        p[:] = [x * grow for x in p]
+    p.insert(0, c.numerator * (r // c.denominator))
+    return r
+
+
 def series_mul_pairs(a, b):
     """Cauchy product of two equal-length coefficient sequences of ints or
     ``Fraction``s, as a list of ``Fraction``s.
@@ -174,9 +188,30 @@ def series_div_pairs(num, den):
         s, big = lcm_sum(p, plan)
         c = Fraction((nj * big * (r // ln) - s) * lead.denominator, r * big * lead.numerator)
         q.append(c)
-        grow = c.denominator // gcd(r, c.denominator)
-        if grow > 1:
-            r *= grow
-            p = [x * grow for x in p]
-        p.insert(0, c.numerator * (r // c.denominator))
+        r = _push(p, r, c)
     return q
+
+
+def series_pow_pairs(f, k):
+    """The first len(f) coefficients of f^k for a coefficient sequence of
+    ints or ``Fraction``s with f[0] nonzero and an int k >= 0, as a list of
+    ``Fraction``s.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): g = f^k has
+    g[0] = f[0]^k and g[j] = 1/(j f[0]) sum_{i=1..j} ((k+1) i - j) f[i] g[j-i].
+    f is scaled once to integers, f = F/L, and L cancels from every ratio
+    f[i]/f[0].  As in :func:`series_div_pairs`, every coefficient found so
+    far is held as an integer numerator over one running denominator R, in P
+    newest first: P[i-1] belongs to g[j-i], which meets F[i].  Then
+    g[j] = sum_i ((k+1) i - j) F[i] P[i-1] / (j F[0] R): one integer sum of
+    j products and one gcd per coefficient.
+    """
+    (lead, *tail), big = _over_lcm(f)
+    g = [Fraction(lead**k, big**k)]
+    p = []  # newest first
+    r = _push(p, 1, g[0])
+    for j in range(1, len(f)):
+        weighted = [((k + 1) * i - j) * x for i, x in enumerate(tail[:j], 1)]
+        g.append(Fraction(sum(map(mul, weighted, p)), j * lead * r))
+        r = _push(p, r, g[-1])
+    return g

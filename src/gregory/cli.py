@@ -32,8 +32,9 @@ exit 1.
 Fixed argument bounds are declared once, in the parser, and checked with
 the rest of argv before any output: n >= 0 for stirling1, bernoulli2 and
 harmonic; n >= 1 for ank and deriv; --max-n >= 2; --repeat >= 1; --digits
->= 0.  Bounds that depend on another argument (k, a route's first n,
-deriv --check needing x) are checked by the command, also before it writes.
+>= 0; and each of them at most sys.maxsize.  Bounds that depend on another
+argument (k, a route's first n, deriv --check needing x) are checked by the
+command, also before it writes.
 Each subcommand is declared once, in :data:`_SUBCOMMANDS`, and each call
 of :func:`main` builds the parser of the subcommand it runs, named by argv's
 first word; all eight are built only for the help and for a missing or
@@ -466,8 +467,11 @@ def cmd_deriv(args):
 
 
 def _at_least(low):
-    """An argparse type: an int >= low.  A value below it is a usage error,
-    reported like a malformed one before any command runs."""
+    """An argparse type: an int from low to sys.maxsize.  A value below it is
+    a usage error, reported like a malformed one before any command runs.  A
+    value past sys.maxsize, which no list, range or islice can be sized by,
+    raises OverflowError out of the parser, which :func:`main` reports as too
+    large, also before any command runs."""
 
     def parse(text):
         try:
@@ -476,6 +480,8 @@ def _at_least(low):
             raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
         if value < low:
             raise argparse.ArgumentTypeError("must be >= %d" % low)
+        if value > sys.maxsize:
+            raise OverflowError(text)
         return value
 
     return parse
@@ -618,8 +624,8 @@ def main(argv=None) -> int:
         print("error: out of memory: the input is too large", file=sys.stderr)
         return EXIT_USAGE
     except OverflowError:
-        # An n past sys.maxsize, which no list or range can be sized by
-        # (``harmonic 10**20``).  The exception's own text names a C type.
+        # An n past sys.maxsize (``harmonic 10**20``), refused by the parser.
+        # The exception's own text would name the argument or a C type.
         print("error: the input is too large: past sys.maxsize", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

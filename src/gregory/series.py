@@ -6,9 +6,11 @@ length minus one.  Arithmetic never extends the order: products truncate, and
 quotients lose exactly the order eaten by cancelling the divisor's leading
 zeros.  This makes the precision of every derived coefficient auditable.
 Inputs may hold ints or ``Fraction``s; results hold ``Fraction``s.  The
-product and the quotient pass their coefficients to the kernels in
-:mod:`gregory._kernels` as they are, and the kernels return each result
-coefficient as a ``Fraction`` reduced once.
+product, the power and the quotient pass their coefficients to the kernels
+in :mod:`gregory._kernels` as they are, and the kernels return each result
+coefficient as a ``Fraction`` reduced once.  A power is J.C.P. Miller's
+recurrence, O(N^2) coefficient products whatever the exponent k, not k
+successive products.
 
 The two generating functions computed here are the series of ln(1+x) raised
 to integer powers, whose x^n coefficient times n!/k! is the signed Stirling
@@ -76,14 +78,24 @@ def series_div(num, den) -> tuple:
 
 
 def series_pow(s, k: int) -> tuple:
-    """k-fold truncated product; k = 0 gives the constant-1 series."""
+    """Truncated power s^k by J.C.P. Miller's recurrence, O(N^2) coefficient
+    products whatever k; k = 0 gives the constant-1 series.
+
+    With v the valuation of s, s^k = x^(v k) f^k for f = s[v:], so the
+    result is zero below x^(v k), and the zero series when v k passes the
+    order.  f^k is needed through x^(N - v k), which reads f only that far.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     _check(s)
-    result = (Fraction(1),) + (Fraction(0),) * (len(s) - 1)
-    for _ in range(k):
-        result = series_mul(result, s)
-    return result
+    order = len(s) - 1
+    if k == 0:
+        return (Fraction(1),) + (Fraction(0),) * order
+    v = next((j for j, c in enumerate(s) if c), None)
+    if v is None or v * k > order:
+        return (Fraction(0),) * (order + 1)
+    powered = _kernels.series_pow_pairs(s[v : order + 1 - v * (k - 1)], k)
+    return (Fraction(0),) * (v * k) + tuple(powered)
 
 
 def stirling_gf_coeff(n: int, k: int, order: int) -> Fraction:

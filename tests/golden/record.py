@@ -134,6 +134,14 @@ def cases():
         ["bernoulli2", "100000000000000000000", "--method", "all"],
         ["crosscheck", "--max-n", "100000000000000000000"],
         ["bench", "--max-n", "100000000000000000000"],
+        # the same n refused by the parser, where a command would run without end
+        ["stirling1", "100000000000000000000"],
+        ["stirling1", "100000000000000000000", "3"],
+        ["ank", "100000000000000000000", "3"],
+        ["deriv", "100000000000000000000"],
+        ["bernoulli2", "100000000000000000000", "--method", "theorem"],
+        ["bernoulli2", "100000000000000000000", "--method", "ank"],
+        ["probe", "--max-n", "100000000000000000000"],
     )
 
 

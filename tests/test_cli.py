@@ -141,6 +141,35 @@ def test_n_past_the_index_range_is_a_clean_error(argv, capsys):
     assert err == "error: the input is too large: past sys.maxsize\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["stirling1", HUGE],
+    ["stirling1", HUGE, "3"],
+    ["ank", HUGE, "3"],
+    ["deriv", HUGE],
+    ["bernoulli2", HUGE, "--method", "theorem"],
+    ["bernoulli2", HUGE, "--method", "ank"],
+    ["probe", "--max-n", HUGE],
+])
+def test_n_past_the_index_range_is_refused_by_the_parser(argv):
+    # Each of these ran without end, or failed inside islice, until the
+    # parser refused such an n; a subprocess, so that a regression times out.
+    import subprocess
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "gregory", *argv], capture_output=True, text=True, timeout=10
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: the input is too large: past sys.maxsize\n"
+
+
+def test_the_largest_index_passes_the_parser():
+    # sys.maxsize itself is a valid n for the parser; one past it is not.
+    parse = cli._at_least(0)
+    assert parse(str(sys.maxsize)) == sys.maxsize
+    with pytest.raises(OverflowError):
+        parse(str(sys.maxsize + 1))
+
+
 def test_bernoulli2_theorem_below_stated_domain(capsys):
     code, _, err = run(["bernoulli2", "1", "--method", "theorem"], capsys)
     assert code == 1

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gregory import (
     bernoulli2_series,
@@ -12,6 +14,7 @@ from gregory import (
     series_mul,
     series_pow,
     stirling_gf_coeff,
+    stirling_row,
     stirling_triangle,
 )
 F = Fraction
@@ -135,6 +138,59 @@ def test_pow_examples():
         series_pow(s, -1)
 
 
+def _kfold_pow(s, k):
+    """s^k as k successive truncated products: the oracle of series_pow."""
+    result = one(len(s) - 1)
+    for _ in range(k):
+        result = series_mul(result, s)
+    return result
+
+
+_pow_coeff = st.one_of(
+    st.integers(-40, 40),
+    st.builds(F, st.integers(-40 * 36, 40 * 36), st.integers(1, 36)),
+)
+
+
+@st.composite
+def _powered(draw):
+    """(s, k): a series of order 0..12 with valuation 0..3 (or all zero when
+    the order is below it), a lead of either sign, and k in 0..8."""
+    order = draw(st.integers(0, 12))
+    v = min(draw(st.integers(0, 3)), order + 1)
+    lead = draw(_pow_coeff.filter(bool)) * draw(st.sampled_from((1, -1)))
+    size = max(order - v, 0)
+    rest = draw(st.lists(_pow_coeff, min_size=size, max_size=size))
+    s = ((0,) * v + (lead, *rest))[: order + 1]
+    return s, draw(st.integers(0, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_powered())
+# A negative Fraction lead under a valuation, int coefficients, the zero
+# series, and v * k past the order.
+@example(((0, F(-2, 3), 5, F(1, 7), 0, -4), 2))
+@example(((0, 0, 0), 3))
+@example(((0, 0, 0), 0))
+@example(((0, 0, 1, 1), 2))
+@example(((-3,), 8))
+def test_pow_is_the_kfold_product(case):
+    s, k = case
+    result = series_pow(s, k)
+    assert type(result) is tuple
+    assert all(type(c) is F for c in result)
+    assert result == _kfold_pow(s, k)
+
+
+def test_pow_of_the_log_series_at_every_k():
+    # Miller's recurrence against the k-fold product at every k of order 30.
+    log = log1p_series(30)
+    power = one(30)
+    for k in range(31):
+        assert series_pow(log, k) == power, k
+        power = series_mul(power, log)
+
+
 def test_stirling_gf_examples():
     assert stirling_gf_coeff(1, 1, 1) == 1
     assert stirling_gf_coeff(3, 2, 3) == -3
@@ -165,6 +221,15 @@ def _from_power(power, n, k):
     from math import factorial
 
     return power[n] * factorial(n) / factorial(k)
+
+
+@pytest.mark.parametrize("n, ks", [(120, range(1, 121)), (200, (100,))])
+def test_stirling_gf_matches_the_row_past_the_benchmark_grid(n, ks):
+    # Past the n = 60 up to which the benchmark runs this route; the k-fold
+    # product made these sizes too slow to test.
+    row = stirling_row(n)
+    for k in ks:
+        assert stirling_gf_coeff(n, k, n) == row[k], k
 
 
 def test_bernoulli2_series_examples():
