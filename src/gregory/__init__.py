@@ -11,26 +11,46 @@ evaluated in Decimal and rounded to floats once.
 The hot loops (the Stirling row recursion, nested sums, series products and
 division) live in :mod:`gregory._kernels`; the ``bench`` CLI subcommand times
 every b_n route side by side.
+
+The package exports each module's ``__all__`` lazily (PEP 562): ``import
+gregory`` runs none of its modules, so ``import gregory.cli`` loads only the
+modules the CLI imports (``_kernels`` and ``exact``; each subcommand imports
+the rest it needs).  The first public name read imports the six modules that
+own them, once.  ``gregory.NAME`` is then read from its module on every
+access, so it is always the module's current binding, a replaced or wrapped
+function included; ``from gregory import NAME`` and ``from gregory import *``
+work as before.
 """
 
-from . import asequence, bernoulli, calculus, exact, series, stirling
-from .asequence import *  # noqa: F403
-from .bernoulli import *  # noqa: F403
-from .calculus import *  # noqa: F403
-from .exact import *  # noqa: F403
-from .series import *  # noqa: F403
-from .stirling import *  # noqa: F403
+import functools
+import importlib
 
 __version__ = "0.1.0"
 
-# Each module's __all__ is the one list of its public names; the package
-# re-exports them in import order.
-__all__ = [
-    "__version__",
-    *asequence.__all__,
-    *bernoulli.__all__,
-    *calculus.__all__,
-    *exact.__all__,
-    *series.__all__,
-    *stirling.__all__,
-]
+# The modules whose __all__ the package exports, in the order of its __all__.
+_MODULES = ("asequence", "bernoulli", "calculus", "exact", "series", "stirling")
+
+
+@functools.cache
+def _owner_map():
+    """Public name -> the module that defines it, built on first use."""
+    modules = [importlib.import_module("." + name, __name__) for name in _MODULES]
+    return {name: module for module in modules for name in module.__all__}
+
+
+def __getattr__(name):
+    if name == "__all__":
+        return ["__version__", *_owner_map()]
+    if name in _MODULES:
+        return importlib.import_module("." + name, __name__)
+    # No public name starts with "_".  A private one must not import the six
+    # modules: ``from . import _kernels`` asks for it while a module of the
+    # package is half imported, and tools probe for dunders.
+    owner = None if name.startswith("_") else _owner_map().get(name)
+    if owner is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(owner, name)
+
+
+def __dir__():
+    return [*globals(), *_owner_map()]

@@ -38,18 +38,24 @@ def _over_lcm(coeffs):
 _BLOCK = 16
 
 
-def lcm_plan(dens):
+def lcm_plan(dens, prefixes=True):
     """The fixed part of every :func:`lcm_sum` over a prefix of ``dens``, a
     sequence of nonzero ints of either sign, built once.
 
     A tuple (dens, lcms, weights, whole): per run dens[b:b + _BLOCK] its own
     lcm Lb and the small weights Lb // d, and whole[i], the lcm of the first
     i runs (whole[0] = 1).  ``math.lcm`` is non-negative and Lb is a multiple
-    of every d of its run, so Lb // d is exact and carries the sign of d."""
+    of every d of its run, so Lb // d is exact and carries the sign of d.
+
+    The prefix lcms grow to the bit length of the last, so the list of them
+    holds O(len(dens)^2 / _BLOCK) bits.  With ``prefixes`` false, ``whole``
+    maps only the count of all runs to their lcm: a plan for one sum over
+    the whole of ``dens`` (``gregory harmonic N``) in O(len(dens)) memory."""
     runs = [dens[b : b + _BLOCK] for b in range(0, len(dens), _BLOCK)]
     lcms = [lcm(*run) for run in runs]
     weights = [[lb // d for d in run] for run, lb in zip(runs, lcms)]
-    return dens, lcms, weights, list(accumulate(lcms, lcm, initial=1))
+    whole = list(accumulate(lcms, lcm, initial=1)) if prefixes else {len(lcms): lcm(*lcms)}
+    return dens, lcms, weights, whole
 
 
 def lcm_sum(nums, plan):
@@ -61,7 +67,7 @@ def lcm_sum(nums, plan):
     against its small weights Lb // d, and each run sum is then scaled once
     by L // Lb.  A last run cut short by m reads only its first weights.  So
     L = whole[ceil(m / _BLOCK)], the lcm of the runs reached, a multiple of
-    lcm(dens[:m])."""
+    lcm(dens[:m]); a plan built without prefixes sums all of dens only."""
     dens, lcms, weights, whole = plan
     m = len(nums)
     if m > len(dens):

@@ -26,9 +26,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
-from . import _kernels
+from . import _kernels, series
 from .asequence import ASequence, a_row, a_rows
-from .series import bernoulli2_series
 from .stirling import StirlingTriangle
 
 __all__ = [
@@ -115,7 +114,7 @@ def bernoulli2_ank(n: int, a: ASequence) -> Fraction:
 
 
 def _series_stream(max_n, start):
-    yield from bernoulli2_series(max_n)[start:]
+    yield from series.bernoulli2_series(max_n)[start:]
 
 
 def _nemes_stream(max_n, start):
@@ -159,7 +158,9 @@ stream, its generator ``stream(max_n, start)`` of b_start..b_max_n."""
 
 # The streams resolve module-level names (the row formulas, the kernel, the
 # series) when called, so a rebound name (a test double, a profiler's
-# wrapper) is the one that runs.
+# wrapper) is the one that runs.  The kernel and the series are read through
+# their modules, so a name rebound there reaches them too, whenever this
+# module was imported.
 ROUTES = {
     "series": Route(0, _series_stream),
     "nemes": Route(0, _nemes_stream),

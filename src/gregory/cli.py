@@ -39,12 +39,22 @@ Each subcommand is declared once, in :data:`_SUBCOMMANDS`, and each call
 of :func:`main` builds the parser of the subcommand it runs, named by argv's
 first word; all eight are built only for the help and for a missing or
 unknown subcommand, whose usage error lists them.
+
+Start-up imports only what the command runs.  This module loads
+:mod:`gregory._kernels` and :mod:`gregory.exact`, all that ``harmonic``
+needs; each other command imports the rest when it runs: ``stirling1``
+:mod:`~gregory.stirling`, ``ank`` and ``probe`` :mod:`~gregory.asequence`
+(with stirling), ``deriv`` :mod:`~gregory.calculus` (with asequence and
+stirling), and ``bernoulli2``, ``crosscheck`` and ``bench``
+:mod:`~gregory.bernoulli` (with asequence, series and stirling; the
+bernoulli2 parser reads its registry too).  ``bench`` alone loads
+``statistics``, and writing a JSON record alone loads ``json``.
 """
 
 import argparse
 import contextlib
+import functools
 import itertools
-import json
 import os
 import sys
 import time
@@ -54,12 +64,10 @@ from fractions import Fraction
 from itertools import chain, repeat
 from types import MappingProxyType
 
+# The modules every command needs.  Each command imports the rest of the
+# package it runs, where it runs it (see the module docstring).
 from ._kernels import lcm_plan, lcm_sum
-from .asequence import a_row, a_rows, probe_a_row
-from .bernoulli import ROUTES, _reports, bernoulli2_report, bernoulli2_values
-from .calculus import evaluate_expansion, expansion_from_row, finite_difference_check
 from .exact import EXACT_DECIMAL, decimal_string, format_rational
-from .stirling import stirling_row
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -135,12 +143,21 @@ def _frac_text(rec):
     return "%s\n" % text if rec.decimal is None else "%s %s\n" % (text, rec.decimal)
 
 
-# Any indent sends json.dumps through the json module's pure-Python encoder.
-# These two run in C, with no indent: their item separators carry the line
-# breaks and indents that indent=2 gives a record's fields in the list and
-# the items of a list or object field.
-_FIELDS = json.JSONEncoder(separators=(",\n    ", ": "))
-_ITEMS = json.JSONEncoder(separators=(",\n      ", ": "))
+@functools.cache
+def _json_encoders():
+    """The JSON writer's two encoders, built on the first JSON record, so that
+    no other output loads json.
+
+    Any indent sends json.dumps through the json module's pure-Python
+    encoder.  These two run in C, with no indent: their item separators carry
+    the line breaks and indents that indent=2 gives a record's fields in the
+    list and the items of a list or object field."""
+    import json
+
+    return (
+        json.JSONEncoder(separators=(",\n    ", ": ")),
+        json.JSONEncoder(separators=(",\n      ", ": ")),
+    )
 
 
 def _nested(item):
@@ -157,17 +174,18 @@ def _json_record(rec):
     str() joined between quotes: it is rendered once, with no escaping and
     no copy into a larger string."""
     row = rec.value if isinstance(rec.value, list) else None
+    field_encoder, item_encoder = _json_encoders()
     parts = []
     for nested, fields in itertools.groupby(_record_dict(rec).items(), _nested):
         if not nested:
-            parts += ",\n    ", _FIELDS.encode(dict(fields))[1:-1]
+            parts += ",\n    ", field_encoder.encode(dict(fields))[1:-1]
             continue
         for key, value in fields:
-            parts += ",\n    ", _FIELDS.encode(key), ": "
+            parts += ",\n    ", field_encoder.encode(key), ": "
             if value is row:
                 parts += '[\n      "', '",\n      "'.join(map(str, row)), '"\n    ]'
             else:
-                text = _ITEMS.encode(value)
+                text = item_encoder.encode(value)
                 parts.append("%s\n      %s\n    %s" % (text[0], text[1:-1], text[-1]))
     parts[0] = "{\n    "  # the first field follows the brace, not a comma
     return parts + ["\n  }"]
@@ -229,6 +247,8 @@ def _rational(kind, n, value, digits, **fields):
 
 
 def cmd_stirling1(args):
+    from .stirling import stirling_row
+
     n = args.n
     if args.k is not None and not 0 <= args.k <= n:
         raise ValueError("k=%d out of range for n=%d (need 0 <= k <= n)" % (args.k, n))
@@ -293,6 +313,8 @@ def _write_reports(reports, kind, args, summary=None):
 
 
 def cmd_bernoulli2(args):
+    from .bernoulli import ROUTES, bernoulli2_report, bernoulli2_values
+
     n = args.n
     methods = ROUTES if args.method == "all" else (args.method,)
     need = max(ROUTES[m].min_n for m in methods)
@@ -310,15 +332,19 @@ def cmd_bernoulli2(args):
 
 
 def cmd_harmonic(args):
-    # One kernel sum over lcm(1..n); exact.harmonic, which adds one Fraction
-    # per term, stays the reference the tests compare it with.
+    # One kernel sum over lcm(1..n), planned without the prefix lcms that a
+    # one-shot sum never reads, so its memory is O(n); exact.harmonic, which
+    # adds one Fraction per term, stays the reference the tests compare it with.
     n = args.n
-    value = Fraction(*lcm_sum([1] * n, lcm_plan(range(1, n + 1))))
+    value = Fraction(*lcm_sum([1] * n, lcm_plan(range(1, n + 1), prefixes=False)))
     emit([_rational("harmonic", n, value, args.digits)], args.format)
     return EXIT_OK
 
 
 def cmd_ank(args):
+    from .asequence import a_row
+    from .stirling import stirling_row
+
     n, k = args.n, args.k
     if not 2 <= k <= n + 1:
         raise ValueError("k=%d out of range for n=%d (need 2 <= k <= n+1)" % (k, n))
@@ -328,6 +354,8 @@ def cmd_ank(args):
 
 
 def cmd_crosscheck(args):
+    from .bernoulli import bernoulli2_report
+
     reports = bernoulli2_report(args.max_n)
     return _write_reports(reports, "crosscheck", args, _agreement(reports, args.max_n))
 
@@ -353,6 +381,8 @@ def _probe_lines(records):
 
 
 def cmd_probe(args):
+    from .asequence import a_rows, probe_a_row
+
     def records():
         # Each a-row is probed and written as it streams; only row n-1 is kept.
         # The rows are Decimals, which print in linear time; they are exact
@@ -404,6 +434,8 @@ def cmd_bench(args):
     b_2..b_N, then the crosscheck summary of the columns it timed."""
     import statistics  # only bench reads it; kept off every other command's start-up
 
+    from .bernoulli import ROUTES, _reports, bernoulli2_values
+
     columns = {}
     records = []
     for method in ROUTES:
@@ -438,6 +470,9 @@ def _deriv_lines(records):
 
 
 def cmd_deriv(args):
+    from .calculus import evaluate_expansion, expansion_from_row, finite_difference_check
+    from .stirling import stirling_row
+
     n = args.n
     if args.check is not None and args.x is None:
         raise ValueError("--check needs an evaluation point x")
@@ -493,6 +528,8 @@ def _stirling1_arguments(p):
 
 
 def _bernoulli2_arguments(p):
+    from .bernoulli import ROUTES
+
     p.add_argument("n", type=_at_least(0))
     # The default is the first route, the reference column.  The choices are
     # read from the registry each time the parser is built.

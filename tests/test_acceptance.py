@@ -33,6 +33,7 @@ from gregory import (
     stirling_nested_sum,
     stirling_triangle,
 )
+from gregory import bernoulli
 from gregory.bernoulli import ROUTES
 from gregory.series import log1p_series, series_mul
 
@@ -227,7 +228,7 @@ def test_criterion_9_cli_contract(capsys, monkeypatch):
 
     values = {**dict.fromkeys(ROUTES, F(-1, 12)), "ank": F(1, 12)}
     fault = [MethodReport.gather(2, values)]
-    monkeypatch.setattr(cli, "bernoulli2_report", lambda max_n: fault)
+    monkeypatch.setattr(bernoulli, "bernoulli2_report", lambda max_n: fault)
     ok = ok and cli.main(["crosscheck", "--max-n", "2"]) == 2
     monkeypatch.undo()
     ok = ok and cli.main(["crosscheck", "--max-n", "3"]) == 0

@@ -130,8 +130,9 @@ def test_report_domain():
 
 
 def test_single_value_reads_b_n_alone_from_tables_built_to_n(monkeypatch):
-    # The route streams resolve their row formulas and the kernel's row
-    # generator by module-level name, so rebinding them sees every call.
+    # The route streams resolve their row formulas, the kernel's row
+    # generator and the series by module-level name, so rebinding them sees
+    # every call.
     calls, built_to = [], []
     for name in ("_row_sum", "_ank"):
         real = getattr(bernoulli, name)
@@ -152,6 +153,15 @@ def test_single_value_reads_b_n_alone_from_tables_built_to_n(monkeypatch):
         assert bernoulli.bernoulli2_values(method, 9, start=9) == [F(8183, 1036800)]
         assert calls == [9]
         assert built_to == [rows_max_n]
+    real_series = bernoulli.series.bernoulli2_series
+    monkeypatch.setattr(
+        bernoulli.series,
+        "bernoulli2_series",
+        lambda max_n: built_to.append(max_n) or real_series(max_n),
+    )
+    built_to.clear()
+    assert bernoulli.bernoulli2_values("series", 9, start=9) == [F(8183, 1036800)]
+    assert built_to == [9]
 
 
 def _two_row_ank(n, a_n, a_prev):

@@ -174,6 +174,8 @@ def test_lcm_sum_is_the_fraction_sum_over_the_lcm(terms):
         assert big == lcm(*dens[: -(-m // block) * block])
         assert big % lcm(*dens[:m]) == 0
         assert Fraction(total, big) == sum(map(Fraction, nums[:m], dens), Fraction(0))
+    # A plan without the prefix lcms gives the same sum over all of dens.
+    assert _kernels.lcm_sum(nums, _kernels.lcm_plan(dens, prefixes=False)) == (total, big)
 
 
 def test_lcm_sum_rejects_more_terms_than_the_plan():
