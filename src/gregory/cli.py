@@ -35,10 +35,15 @@ harmonic; n >= 1 for ank and deriv; --max-n >= 2; --repeat >= 1; --digits
 >= 0; and each of them at most sys.maxsize.  Bounds that depend on another
 argument (k, a route's first n, deriv --check needing x) are checked by the
 command, also before it writes.
-Each subcommand is declared once, in :data:`_SUBCOMMANDS`, and each call
-of :func:`main` builds the parser of the subcommand it runs, named by argv's
-first word; all eight are built only for the help and for a missing or
-unknown subcommand, whose usage error lists them.
+Each subcommand is declared once, in :data:`_SUBCOMMANDS`.  :func:`main`
+dispatches on argv's first word: a subcommand's name builds that
+subcommand's own parser, named "gregory NAME", which parses the words after
+the name; the top-level parser, with all eight, is built only for the help
+and for a missing or unknown subcommand, whose usage error lists them.  Both
+build a subcommand's parser through one helper, so help, usage and errors
+read the same either way.  Each call builds its parser anew, and only the
+--format and --digits parents, which hold nothing of a parse, are built
+once, at import.
 
 Start-up imports only what the command runs.  This module loads
 :mod:`gregory._kernels` and :mod:`gregory.exact`, all that ``harmonic``
@@ -522,6 +527,25 @@ def _at_least(low):
     return parse
 
 
+# The parents of the subcommand parsers, built once: a parser built from them
+# shares their actions, which hold nothing of any one parse.  Only the
+# commands that print rationals take --digits.
+_FORMAT = argparse.ArgumentParser(add_help=False)
+_FORMAT.add_argument(
+    "--format",
+    choices=("frac", "json", "csv"),
+    default="frac",
+    help="output format (default: frac)",
+)
+_DIGITS = argparse.ArgumentParser(add_help=False)
+_DIGITS.add_argument(
+    "--digits",
+    type=_at_least(0),
+    metavar="D",
+    help="also render rational values as D-digit decimals (round-half-even)",
+)
+
+
 def _stirling1_arguments(p):
     p.add_argument("n", type=_at_least(0))
     p.add_argument("k", type=int, nargs="?")
@@ -586,38 +610,38 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The top-level parser with the parser of subcommand ``command`` alone,
-    or with all eight when ``command`` is None or names none of them: the
-    help, and the usage error that lists the subcommands, need them all."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("frac", "json", "csv"),
-        default="frac",
-        help="output format (default: frac)",
-    )
-    # Only the commands that print rationals take --digits.
-    digits = argparse.ArgumentParser(add_help=False)
-    digits.add_argument(
-        "--digits",
-        type=_at_least(0),
-        metavar="D",
-        help="also render rational values as D-digit decimals (round-half-even)",
-    )
+def _subcommand_parser(name, sub=None):
+    """Subcommand ``name``'s parser as :data:`_SUBCOMMANDS` declares it:
+    standalone, named "gregory NAME", or added to the top level's subparsers
+    action ``sub``, which names it the same."""
+    func, help_text, takes_digits, add_arguments = _SUBCOMMANDS[name]
+    parents = [_FORMAT, _DIGITS] if takes_digits else [_FORMAT]
+    if sub is None:
+        p = _Parser(prog="gregory " + name, parents=parents)
+    else:
+        p = sub.add_parser(name, parents=parents, help=help_text)
+    add_arguments(p)
+    p.set_defaults(func=func)
+    return p
 
+
+def build_parser(command=None):
+    """The parser of subcommand ``command`` alone, which parses the words
+    after the subcommand's name; or, when ``command`` is None or names none
+    of them, the top-level parser with all eight, which parses the whole
+    argv: the help, and the usage error that lists the subcommands, need
+    them all.  Each call builds a new parser, so ``bernoulli2 --method``
+    reads the route registry as it is then."""
+    if command in _SUBCOMMANDS:
+        return _subcommand_parser(command)
     parser = _Parser(
         prog="gregory",
         description="Exact Bernoulli numbers of the second kind, Stirling numbers "
         "of the first kind, and friends, cross-checked across independent formulas.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in (command,) if command in _SUBCOMMANDS else _SUBCOMMANDS:
-        func, help_text, takes_digits, add_arguments = _SUBCOMMANDS[name]
-        parents = [common, digits] if takes_digits else [common]
-        p = sub.add_parser(name, parents=parents, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=func)
+    for name in _SUBCOMMANDS:
+        _subcommand_parser(name, sub)
     return parser
 
 
@@ -641,11 +665,13 @@ def _exact_int_rendering():
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # A command's first word names its subcommand, the one parser it needs.
-    parser = build_parser(argv[0] if argv else None)
+    # A command's first word names its subcommand, whose own parser reads the
+    # words after it; any other first word goes to the top-level parser.
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    parser = build_parser(command)
     try:
         # argv is parsed under the cap; only the command's output is lifted.
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv if command is None else argv[1:])
         # Exact text for every command: ints print in full, and Decimal rows
         # (probe) raise rather than round.  Entered here, not in a generator:
         # a suspended generator's context would leak into its caller between

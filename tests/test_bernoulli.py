@@ -283,6 +283,21 @@ def test_weighted_absolute_sum_stays_below_gamma(column_300):
     assert GAMMA_50 - sum(abs(b) / n for n, b in enumerate(column_300, 1)) > 0
 
 
+def test_series_column_alternates_falls_and_is_log_convex_to_400():
+    # Schroeder's integral |b_n| = int_0^inf dx / ((1+x)^n (ln^2 x + pi^2))
+    # for n >= 2 makes |b_n| a moment sequence of a positive weight: the sign
+    # alternates, |b_n| falls strictly (b_1 = 1/2 > |b_2| too), and
+    # Cauchy-Schwarz gives |b_n|^2 <= |b_(n-1)| |b_(n+1)| for n >= 2, which
+    # fails at n = 1: (1/2)^2 > 1 * 1/12.  Exact Fraction comparisons, which
+    # share no code with the routes, past the other columns' 300.
+    b = bernoulli.bernoulli2_values("series", 400, 0)
+    a = list(map(abs, b))
+    assert all((-1) ** (n + 1) * b[n] > 0 for n in range(1, 401))
+    assert all(a[n] > a[n + 1] for n in range(1, 400))
+    assert all(a[n] ** 2 <= a[n - 1] * a[n + 1] for n in range(2, 400))
+    assert a[1] ** 2 > a[0] * a[2]
+
+
 def test_every_route_agrees_to_300():
     # The analytic checks cannot see a small error in one b_n; agreement can,
     # and ank sums off the kernel that nemes and theorem (and, through

@@ -1,5 +1,6 @@
 """CLI contract: outputs, formats, exit codes."""
 
+import argparse
 import contextlib
 import csv
 import decimal
@@ -658,16 +659,22 @@ ALL_EIGHT = ["stirling1", "bernoulli2", "harmonic", "ank", "crosscheck", "probe"
 
 
 def test_build_parser_registers_the_named_subcommand_or_all_eight():
-    assert _subcommands(cli.build_parser("crosscheck")) == ["crosscheck"]
+    # A known name gets its own parser, which reads the words after the name.
+    parser = cli.build_parser("crosscheck")
+    assert parser.prog == "gregory crosscheck"
+    assert parser.parse_args(["--max-n", "3"]).func is cli.cmd_crosscheck
     assert _subcommands(cli.build_parser()) == ALL_EIGHT
     assert _subcommands(cli.build_parser("nosuch")) == ALL_EIGHT
 
 
+EVERY_PROG = ["gregory"] + ["gregory " + name for name in ALL_EIGHT]
+
+
 @pytest.mark.parametrize("argv, built", [
-    (["crosscheck", "--max-n", "3"], ["crosscheck"]),
-    (["stirling1", "4", "--format", "json"], ["stirling1"]),
-    (["frobnicate"], ALL_EIGHT),
-    ([], ALL_EIGHT),
+    (["crosscheck", "--max-n", "3"], ["gregory crosscheck"]),
+    (["stirling1", "4", "--format", "json"], ["gregory stirling1"]),
+    (["frobnicate"], EVERY_PROG),
+    ([], EVERY_PROG),
 ])
 def test_main_builds_the_parser_of_the_command_it_runs(argv, built, capsys, monkeypatch):
     progs = []
@@ -680,7 +687,61 @@ def test_main_builds_the_parser_of_the_command_it_runs(argv, built, capsys, monk
     monkeypatch.setattr(cli, "_Parser", Counting)
     code, _, _ = run(argv, capsys)
     assert code == (0 if argv and argv[0] in ALL_EIGHT else 1)
-    assert progs == ["gregory"] + ["gregory " + name for name in built]
+    assert progs == built
+
+
+# Each subcommand's words after its name, all positionals given; "4" is n, or
+# --max-n's value.
+SUBCOMMAND_WORDS = {
+    "stirling1": ["4", "2"],
+    "bernoulli2": ["4"],
+    "harmonic": ["4"],
+    "ank": ["4", "3"],
+    "crosscheck": ["--max-n", "4"],
+    "probe": ["--max-n", "4"],
+    "bench": ["--max-n", "4"],
+    "deriv": ["4", "2.0"],
+}
+
+
+def _usage_error(parser, argv):
+    with pytest.raises(ValueError) as exc:
+        parser.parse_args(argv)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("name", ALL_EIGHT)
+def test_a_subcommands_own_parser_is_the_one_under_the_top_level(name):
+    # main parses a known subcommand with its own parser and builds the top
+    # level only for the help and the usage errors; the two must not drift.
+    own = cli.build_parser(name)
+    top = cli.build_parser()
+    (sub,) = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    inner = sub.choices[name]
+    assert own.format_help() == inner.format_help()
+    assert own.format_usage() == inner.format_usage()
+    words = SUBCOMMAND_WORDS[name]
+    for bad in (["x" if w == "4" else w for w in words], [], words + ["extra"]):
+        assert _usage_error(own, bad) == _usage_error(top, [name, *bad])
+    parsed = vars(top.parse_args([name, *words]))
+    assert parsed.pop("command") == name
+    assert vars(own.parse_args(words)) == parsed
+
+
+def test_no_parse_leaves_state_in_the_shared_parents(capsys):
+    parents = (cli._FORMAT, cli._DIGITS)
+    actions = [list(p._actions) for p in parents]
+    assert run(["harmonic", "5", "--format", "json"], capsys)[0] == 0
+    assert run(["harmonic", "5"], capsys)[1] == "137/60\n"
+    assert run(["harmonic", "5", "--digits", "3"], capsys)[1] == "137/60 2.283\n"
+    assert run(["harmonic", "5"], capsys)[1] == "137/60\n"
+    cli.build_parser()
+    for name in ALL_EIGHT:
+        cli.build_parser(name)
+    for parent, before in zip(parents, actions):
+        assert len(parent._actions) == len(before)
+        assert all(now is then for now, then in zip(parent._actions, before))
+    assert [a.default for a in actions[0] + actions[1]] == ["frac", None]
 
 
 def test_help_lists_every_subcommand(capsys):
