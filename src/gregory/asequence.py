@@ -8,7 +8,11 @@ recursion that relation gives the row recursion
 a(n+1,k) = (k-1) a(n,k-1) + n a(n,k), which multiplies by small integers
 only.  The recursion builds whole tables (:func:`a_rows`); the relation gives
 one row from its Stirling row (:func:`a_row`, its only writer); the nested
-sums stay around as the literal reference for small n.
+sums stay around as the literal reference for small n.  The difference
+identity a(n,k) - n a(n-1,k) = (-1)^(n+k-1) (k-1)! [s(n-1,k-1) + s(n-1,k-2)]
+follows from the relation and the Stirling recursion: on one triangle it
+would check only the relation's sign and factorial, so the acceptance suite
+evaluates it between the two recursions.
 
 Empirically every row rises to a single (possibly flat) peak and then falls;
 that is only a conjecture, so :func:`probe_row` reports the row shape instead
@@ -31,7 +35,6 @@ __all__ = [
     "a_rows",
     "a_nested_sum",
     "a_from_stirling",
-    "a_difference_identity_check",
     "probe_row",
     "probe_a_row",
 ]
@@ -114,23 +117,6 @@ def a_from_stirling(n: int, k: int, triangle: StirlingTriangle) -> int:
     """a(n,k) from row n of the triangle through :func:`a_row` (production route)."""
     _check_indices(n, k)
     return a_row(n, triangle.row(n))[k - 2]
-
-
-def a_difference_identity_check(n: int, k: int, triangle: StirlingTriangle) -> bool:
-    """Check a(n,k) - n*a(n-1,k) = (-1)^(n+k-1) (k-1)! [s(n-1,k-1) + s(n-1,k-2)].
-
-    Uses the convention s(m,0) = 0 for m >= 1, which the stored triangle
-    already satisfies.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not 2 <= k <= n:
-        raise ValueError("need 2 <= k <= n, got n=%d k=%d" % (n, k))
-    lhs = a_from_stirling(n, k, triangle) - n * a_from_stirling(n - 1, k, triangle)
-    rhs = (-1) ** (n + k - 1) * factorial(k - 1) * (
-        triangle.value(n - 1, k - 1) + triangle.value(n - 1, k - 2)
-    )
-    return lhs == rhs
 
 
 ProbeReport = namedtuple("ProbeReport", "n row peak_indices is_unimodal increasing_in_n_ok")

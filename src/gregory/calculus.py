@@ -35,14 +35,15 @@ MAX_CHECK_ORDER = 6
 
 def reciprocal_log_derivative_coeffs(n: int, triangle: StirlingTriangle) -> list:
     """Exact expansion coefficients [c_1..c_n] of the n-th derivative of 1/ln x."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return expansion_from_row(n, triangle.row(n))
 
 
 def expansion_from_row(n: int, s_row) -> list:
     """The expansion [c_1..c_n] of the n-th derivative from the Stirling row
-    s(n, 0..n): c_k = (-1)^k k! s(n,k) = (-1)^n a(n,k+1), read from :func:`a_row`."""
+    s(n, 0..n): c_k = (-1)^k k! s(n,k) = (-1)^n a(n,k+1), read from :func:`a_row`,
+    for n >= 1 (the 0-th derivative is no sum of this form)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return [(-1) ** n * a for a in a_row(n, s_row)]
 
 
@@ -69,7 +70,12 @@ def evaluate_expansion(coeffs, x: float) -> float:
     """Evaluate the expansion [c_1..c_n] at finite x > 0, x != 1 (the pole of 1/ln x),
     in Decimal at the exact x, at 40 digits and more while its terms cancel
     (0 < x < 1), rounded to a float once.  Raises ValueError when the value is
-    beyond float range: it overflows, or it rounds to 0."""
+    beyond float range: it overflows, or it rounds to 0; and for an expansion
+    with no nonzero coefficient, whose value 0 no precision would confirm."""
+    # ln x is transcendental at a rational x != 1 (Lindemann), so any other
+    # integer expansion has a nonzero value, and the loop below ends.
+    if not any(coeffs):
+        raise ValueError("the expansion has no nonzero coefficient")
     if not math.isfinite(x):
         raise ValueError("x must be finite, got %r" % x)
     if x <= 0:

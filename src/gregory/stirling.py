@@ -17,7 +17,6 @@ __all__ = [
     "stirling_triangle",
     "stirling_row",
     "stirling_nested_sum",
-    "stirling_nested_sum_direct",
     "stirling_column_recurrence",
     "stirling_closed_form",
     "harmonic_from_stirling",
@@ -98,31 +97,13 @@ def stirling_nested_sum(n: int, k: int) -> int:
     (k = 1) contributes 1, and an empty index range contributes 0, which
     reproduces s(n,1) = (-1)^(n+1) (n-1)! and s(n,n) = 1.
 
-    Evaluated through the memoized chain-sum table; see
-    :func:`stirling_nested_sum_direct` for the literal enumeration.
+    Evaluated through the memoized chain-sum table; the test suite
+    enumerates the chains one by one as its oracle.
     """
     _check_indices(n, k)
     table = _kernels.nested_sum_table(k - 1, n - 1)
     num, den = table[k - 1][n - 1]
     return _as_int(Fraction((-1) ** (n + k) * factorial(n - 1) * num, den), n, k)
-
-
-def stirling_nested_sum_direct(n: int, k: int) -> int:
-    """Unoptimized reference: enumerate every decreasing chain explicitly.
-
-    Exponential in k; intended for n <= 12 where it checks the memoized route.
-    """
-    _check_indices(n, k)
-
-    def chains(depth, top):
-        if depth == 0:
-            return Fraction(1)
-        total = Fraction(0)
-        for l in range(1, top + 1):
-            total += chains(depth - 1, l - 1) / l
-        return total
-
-    return _as_int((-1) ** (n + k) * factorial(n - 1) * chains(k - 1, n - 1), n, k)
 
 
 def stirling_column_recurrence(n: int, k: int, triangle: StirlingTriangle) -> int:

@@ -15,9 +15,9 @@ import gregory.cli as cli
 from gregory import (
     ASequence,
     MethodReport,
-    a_difference_identity_check,
     a_from_stirling,
     a_nested_sum,
+    a_rows,
     bernoulli2_ank,
     bernoulli2_nemes,
     bernoulli2_series,
@@ -33,7 +33,7 @@ from gregory import (
     stirling_nested_sum,
     stirling_triangle,
 )
-from gregory import bernoulli
+from gregory import _kernels, bernoulli
 from gregory.bernoulli import ROUTES
 from gregory.series import log1p_series, series_mul
 
@@ -165,8 +165,15 @@ def test_criterion_6_a_table_suite():
     ok = ok and all(
         2 * a.value(n, n) == (n - 1) * factorial(n) for n in range(3, 201)
     )
+    # The difference identity a(n,k) - n a(n-1,k) = (-1)^(n+k-1) (k-1)!
+    # [s(n-1,k-1) + s(n-1,k-2)] between two independent recursions: a(n, .)
+    # by the a-row recursion, s(n-1, .) by the Stirling one.  On a single
+    # triangle it would reduce to the Stirling recursion itself.
+    a_by_n = [None, *a_rows(30)]  # a_by_n[n][k - 2] = a(n,k)
+    s_by_n = list(_kernels.stirling_rows(29))  # s_by_n[n][k] = s(n,k)
     ok = ok and all(
-        a_difference_identity_check(n, k, triangle)
+        a_by_n[n][k - 2] - n * a_by_n[n - 1][k - 2]
+        == (-1) ** (n + k - 1) * factorial(k - 1) * (s_by_n[n - 1][k - 1] + s_by_n[n - 1][k - 2])
         for n in range(2, 31)
         for k in range(2, n + 1)
     )

@@ -1,4 +1,4 @@
-"""The auxiliary table a(n,k): both routes, the difference identity, the probe."""
+"""The auxiliary table a(n,k): both routes and the probe."""
 
 import decimal
 from decimal import Decimal
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from gregory import (
     ASequence,
     ProbeReport,
-    a_difference_identity_check,
     a_from_stirling,
     a_nested_sum,
     a_row,
@@ -140,25 +139,6 @@ def test_index_checks(triangle, a_table):
         a_table.value(31, 2)
     with pytest.raises(ValueError):
         ASequence.from_triangle(triangle, 31)
-
-
-def test_difference_identity_examples(triangle):
-    # (2,2): lhs = 1 - 2 = -1, rhs = -[s(1,1) + s(1,0)] = -1
-    assert a_difference_identity_check(2, 2, triangle)
-    assert a_difference_identity_check(3, 2, triangle)
-
-
-def test_difference_identity_exhaustive(triangle):
-    for n in range(2, 16):
-        for k in range(2, n + 1):
-            assert a_difference_identity_check(n, k, triangle)
-
-
-def test_difference_identity_domain(triangle):
-    with pytest.raises(ValueError):
-        a_difference_identity_check(1, 2, triangle)
-    with pytest.raises(ValueError):
-        a_difference_identity_check(3, 4, triangle)
 
 
 def test_probe_examples(a_table):

@@ -10,7 +10,6 @@ from gregory import bernoulli
 from gregory import (
     ASequence,
     MethodReport,
-    a_difference_identity_check,
     a_from_stirling,
     a_rows,
     bernoulli2_ank,
@@ -81,10 +80,6 @@ _READERS = {
     "bernoulli2_ank": (5, lambda m: bernoulli2_ank(5, ASequence.build(m))),
     "ASequence.from_triangle": (5, lambda m: ASequence.from_triangle(stirling_triangle(m), 5)),
     "a_from_stirling": (5, lambda m: a_from_stirling(5, 3, stirling_triangle(m))),
-    "a_difference_identity_check": (
-        5,
-        lambda m: a_difference_identity_check(5, 3, stirling_triangle(m)),
-    ),
     "reciprocal_log_derivative_coeffs": (
         5,
         lambda m: reciprocal_log_derivative_coeffs(5, stirling_triangle(m)),

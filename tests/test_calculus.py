@@ -1,6 +1,7 @@
 """Derivatives of 1/ln x: exact coefficients and the finite-difference verifier."""
 
 import math
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -74,6 +75,19 @@ def test_evaluate_domain(triangle):
     # The value, about 1e600 / ln(1e-300)**2, is beyond float range.
     with pytest.raises(ValueError, match="beyond float range"):
         evaluate_expansion(reciprocal_log_derivative_coeffs(2, triangle), 1e-300)
+
+
+def test_an_expansion_without_a_nonzero_coefficient_is_refused_at_once():
+    # Its value is exactly 0, which no working precision confirms, so the
+    # precision would double without end.  Order 0 has no expansion of this
+    # form, so the row of s(0, .) gives none.
+    start = time.perf_counter()
+    for coeffs in ([], [0], [0, 0, 0]):
+        with pytest.raises(ValueError, match="no nonzero coefficient"):
+            evaluate_expansion(coeffs, 2.0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        expansion_from_row(0, stirling_row(0))
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("n, x", [(170, 10.0), (158, 3.0)])
@@ -199,6 +213,19 @@ def test_evaluate_is_the_correctly_rounded_derivative(n, x):
     with mpmath.workdps(60):
         reference = mpmath.diff(lambda t: 1 / mpmath.log(t), mpmath.mpf(x), n)
     assert evaluate_expansion(expansion_from_row(n, stirling_row(n)), x) == float(reference)
+
+
+def test_evaluate_keeps_its_digits_where_coefficients_of_both_signs_cancel():
+    # Every derivative's coefficients share one sign, but an expansion of
+    # mixed signs is accepted too: here c_1 u^2 and c_2 u^3, u = 1/ln 2, each
+    # about 2e30, cancel to about 0.13, so a bound that summed the signed terms
+    # would keep 40 digits and get the tenth one wrong.
+    c1 = 10**30
+    with mpmath.workdps(60):
+        c2 = -int(mpmath.nint(c1 * mpmath.log(2)))
+        u = 1 / mpmath.log(2)
+        exact = (c1 * u**2 + c2 * u**3) / 4
+    assert evaluate_expansion([c1, c2], 2.0) == float(exact) == 0.13254880265290683
 
 
 def test_evaluate_keeps_its_digits_where_the_terms_cancel():

@@ -16,7 +16,6 @@ from gregory import (
     stirling_closed_form,
     stirling_column_recurrence,
     stirling_nested_sum,
-    stirling_nested_sum_direct,
     stirling_row,
     stirling_triangle,
 )
@@ -97,10 +96,21 @@ def test_nested_sum_matches_triangle(triangle):
             assert stirling_nested_sum(n, k) == triangle.value(n, k)
 
 
+def _chain_sum(depth, top):
+    """The sum over strictly decreasing chains top >= l1 > ... > l_depth >= 1
+    of prod 1/li, enumerated chain by chain; exponential in depth."""
+    if depth == 0:
+        return Fraction(1)
+    return sum((_chain_sum(depth - 1, l - 1) / l for l in range(1, top + 1)), Fraction(0))
+
+
 def test_nested_sum_direct_enumeration_matches_memoized():
+    # The literal formula, s(n,k) = (-1)^(n+k) (n-1)! times the chain sum of
+    # depth k-1 below n, against the memoized table the library reads.
     for n in range(1, 11):
         for k in range(1, n + 1):
-            assert stirling_nested_sum_direct(n, k) == stirling_nested_sum(n, k)
+            direct = (-1) ** (n + k) * factorial(n - 1) * _chain_sum(k - 1, n - 1)
+            assert direct == stirling_nested_sum(n, k)
 
 
 def test_nested_sum_range_check():
