@@ -12,12 +12,11 @@ runs past a timeout; it survives when the suite passes.  The unmutated copy
 runs first and must pass.
 
 :data:`EQUIVALENT` lists substitutions that leave every value the package
-computes unchanged, each with the reason.  They are checked to match but run
-only when named, for information: a survivor among them says nothing about
-the tests.
+computes unchanged, each with the reason.  They are only checked to still
+match the source and are never run: a survivor among them would say nothing
+about the tests.
 
-    python tests/mutants.py                # every mutant in MUTANTS
-    python tests/mutants.py NAME [NAME..]  # only the named ones
+    python tests/mutants.py
 
 Exit status 0 when every mutant run is killed, 1 when one survives, and 2
 when the corpus is stale (a substitution does not match exactly once or does
@@ -26,7 +25,6 @@ not collect this file (its name is no ``test_*.py``), so Tier-1 does not run
 it.
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -213,11 +211,7 @@ def run_suite(mutant=None):
     return proc.returncode, seconds, failed
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants, EQUIVALENT ones included")
-    args = parser.parse_args(argv)
-
+def main():
     corpus = MUTANTS + EQUIVALENT
     names = [m.name for m in corpus]
     try:
@@ -228,18 +222,14 @@ def main(argv=None):
     except (ValueError, SyntaxError) as exc:
         print("stale corpus: %s" % exc)
         return 2
-    unknown = set(args.names) - set(names)
-    if unknown:
-        parser.error("no such mutant: %s" % ", ".join(sorted(unknown)))
 
     status, seconds, failed = run_suite()
     print("unmutated  %6.1f s  %s" % (seconds, "passed" if status == 0 else failed), flush=True)
     if status != 0:
         return 2
 
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
     survivors = []
-    for mutant in chosen:
+    for mutant in MUTANTS:
         status, seconds, failed = run_suite(mutant)
         if status == 0:
             survivors.append(mutant.name)
@@ -252,14 +242,10 @@ def main(argv=None):
             print("pytest exit %d on %s: %s" % (status, mutant.name, failed))
             return 2
         print("%-10s %6.1f s  %s  %s" % (verdict, seconds, mutant.name, failed), flush=True)
-    for mutant in EQUIVALENT:
-        if mutant.name in args.names:
-            status, seconds, failed = run_suite(mutant)
-            print("equivalent %6.1f s  %s  %s" % (seconds, mutant.name, failed or "suite passed"))
 
     print(
-        "%d of %d mutants killed; %d equivalent ones listed, not counted"
-        % (len(chosen) - len(survivors), len(chosen), len(EQUIVALENT))
+        "%d of %d mutants killed; %d equivalent ones listed, not run"
+        % (len(MUTANTS) - len(survivors), len(MUTANTS), len(EQUIVALENT))
     )
     if survivors:
         print("survivors: %s" % ", ".join(survivors))

@@ -1,7 +1,8 @@
 """Derivatives of 1/ln x: exact coefficients and the finite-difference verifier."""
 
 import math
-import time
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -39,6 +40,9 @@ def test_coefficient_domain(triangle):
         reciprocal_log_derivative_coeffs(0, triangle)
     with pytest.raises(ValueError):
         reciprocal_log_derivative_coeffs(51, triangle)
+    # Order 0 has no expansion of this form, so the row of s(0, .) gives none.
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        expansion_from_row(0, stirling_row(0))
 
 
 def test_coefficient_signs_and_diagonal(triangle):
@@ -75,19 +79,19 @@ def test_evaluate_domain(triangle):
     # The value, about 1e600 / ln(1e-300)**2, is beyond float range.
     with pytest.raises(ValueError, match="beyond float range"):
         evaluate_expansion(reciprocal_log_derivative_coeffs(2, triangle), 1e-300)
-
-
-def test_an_expansion_without_a_nonzero_coefficient_is_refused_at_once():
-    # Its value is exactly 0, which no working precision confirms, so the
-    # precision would double without end.  Order 0 has no expansion of this
-    # form, so the row of s(0, .) gives none.
-    start = time.perf_counter()
-    for coeffs in ([], [0], [0, 0, 0]):
-        with pytest.raises(ValueError, match="no nonzero coefficient"):
-            evaluate_expansion(coeffs, 2.0)
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        expansion_from_row(0, stirling_row(0))
-    assert time.perf_counter() - start < 0.5
+    # The value of an expansion with no nonzero coefficient is exactly 0, which
+    # no working precision confirms.  A subprocess, so that a regression to
+    # doubling the precision without end times out instead of hanging.
+    script = (
+        "from gregory import evaluate_expansion\n"
+        "for coeffs in ([], [0], [0, 0, 0]):\n"
+        "    try:\n"
+        "        evaluate_expansion(coeffs, 2.0)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=10)
+    assert proc.stdout == "the expansion has no nonzero coefficient\n" * 3
 
 
 @pytest.mark.parametrize("n, x", [(170, 10.0), (158, 3.0)])
