@@ -67,11 +67,15 @@ def _closed_form(coeffs, x):
 
 
 def evaluate_expansion(coeffs, x: float) -> float:
-    """Evaluate the expansion [c_1..c_n] at finite x > 0, x != 1 (the pole of 1/ln x),
-    in Decimal at the exact x, at 40 digits and more while its terms cancel
-    (0 < x < 1), rounded to a float once.  Raises ValueError when the value is
-    beyond float range: it overflows, or it rounds to 0; and for an expansion
-    with no nonzero coefficient, whose value 0 no precision would confirm."""
+    """Evaluate the expansion [c_1..c_n], a list of ints (bools included), at
+    finite x > 0, x != 1 (the pole of 1/ln x), in Decimal at the exact x, at
+    40 digits and more while its terms cancel (0 < x < 1), rounded to a float
+    once.  Raises TypeError for any other coefficient; ValueError when the
+    value is beyond float range: it overflows, or it rounds to 0; and for an
+    expansion with no nonzero coefficient, whose value 0 no precision would
+    confirm."""
+    if not all(isinstance(c, int) for c in coeffs):
+        raise TypeError("coeffs must be ints")
     # ln x is transcendental at a rational x != 1 (Lindemann), so any other
     # integer expansion has a nonzero value, and the loop below ends.
     if not any(coeffs):

@@ -37,13 +37,12 @@ argument (k, a route's first n, deriv --check needing x) are checked by the
 command, also before it writes.
 Each subcommand is declared once, in :data:`_SUBCOMMANDS`.  :func:`main`
 dispatches on argv's first word: a subcommand's name builds that
-subcommand's own parser, named "gregory NAME", which parses the words after
-the name; the top-level parser, with all eight, is built only for the help
-and for a missing or unknown subcommand, whose usage error lists them.  Both
-build a subcommand's parser through one helper, so help, usage and errors
-read the same either way.  Each call builds its parser anew, and only the
---format and --digits parents, which hold nothing of a parse, are built
-once, at import.
+subcommand's parser, named "gregory NAME", which parses the words after the
+name, and is the only parser that runs a command; any other first word goes
+to the top-level parser, which registers each subcommand by its name and
+help line only, and ends in the help or in a usage error that lists them.
+Each call builds its parser anew, and only the --format and --digits
+parents, which hold nothing of a parse, are built once, at import.
 
 Start-up imports only what the command runs.  This module loads
 :mod:`gregory._kernels` and :mod:`gregory.exact`, all that ``harmonic``
@@ -610,38 +609,31 @@ _SUBCOMMANDS = {
 }
 
 
-def _subcommand_parser(name, sub=None):
-    """Subcommand ``name``'s parser as :data:`_SUBCOMMANDS` declares it:
-    standalone, named "gregory NAME", or added to the top level's subparsers
-    action ``sub``, which names it the same."""
-    func, help_text, takes_digits, add_arguments = _SUBCOMMANDS[name]
-    parents = [_FORMAT, _DIGITS] if takes_digits else [_FORMAT]
-    if sub is None:
-        p = _Parser(prog="gregory " + name, parents=parents)
-    else:
-        p = sub.add_parser(name, parents=parents, help=help_text)
-    add_arguments(p)
-    p.set_defaults(func=func)
-    return p
-
-
 def build_parser(command=None):
-    """The parser of subcommand ``command`` alone, which parses the words
-    after the subcommand's name; or, when ``command`` is None or names none
-    of them, the top-level parser with all eight, which parses the whole
-    argv: the help, and the usage error that lists the subcommands, need
-    them all.  Each call builds a new parser, so ``bernoulli2 --method``
-    reads the route registry as it is then."""
+    """The parser of subcommand ``command`` as :data:`_SUBCOMMANDS` declares
+    it, named "gregory NAME", which parses the words after the subcommand's
+    name; or, when ``command`` is None or names none of them, the top-level
+    parser, which registers each subcommand by its name and help line only:
+    all it parses ends in the help or in a usage error that lists them.  Each
+    call builds a new parser, so ``bernoulli2 --method`` reads the route
+    registry as it is then."""
     if command in _SUBCOMMANDS:
-        return _subcommand_parser(command)
+        func, _, takes_digits, add_arguments = _SUBCOMMANDS[command]
+        parents = [_FORMAT, _DIGITS] if takes_digits else [_FORMAT]
+        parser = _Parser(prog="gregory " + command, parents=parents)
+        add_arguments(parser)
+        parser.set_defaults(func=func)
+        return parser
     parser = _Parser(
         prog="gregory",
         description="Exact Bernoulli numbers of the second kind, Stirling numbers "
         "of the first kind, and friends, cross-checked across independent formulas.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in _SUBCOMMANDS:
-        _subcommand_parser(name, sub)
+    for name, (_, help_text, _, _) in _SUBCOMMANDS.items():
+        # No help option: "gregory -x NAME --help" is a usage error, not an
+        # empty help.
+        sub.add_parser(name, help=help_text, add_help=False)
     return parser
 
 

@@ -123,7 +123,18 @@ def cases():
         ["bernoulli2", "5", "--digits", "1000000000000000000"],
         ["crosscheck", "--max-n", "5", "--digits", "1000000000000000000", "--format", "csv"],
         ["bernoulli2", "x"],
+        # argv whose first word names no subcommand, which the top-level
+        # parser reads: each ends in a usage error, whatever follows
         [],
+        ["nosuch"],
+        ["--"],
+        ["--", "harmonic", "5"],
+        ["-x"],
+        ["-x", "harmonic"],
+        ["-x", "harmonic", "5"],
+        ["-x", "harmonic", "--help"],
+        ["NOSUCH", "harmonic"],
+        ["--format", "json", "harmonic", "5"],
         # an n past what memory holds
         ["bernoulli2", "1000000000000000"],
         ["bernoulli2", "1000000000000000", "--format", "json"],

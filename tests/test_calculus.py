@@ -92,6 +92,11 @@ def test_evaluate_domain(triangle):
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=10)
     assert proc.stdout == "the expansion has no nonzero coefficient\n" * 3
+    # The closed form cuts each coefficient by its bit length: ints only.
+    for coeffs in ([Fraction(1, 2)], [0.5], ["1"]):
+        with pytest.raises(TypeError, match="coeffs must be ints"):
+            evaluate_expansion(coeffs, 2.0)
+    assert evaluate_expansion([True], 2.0) == evaluate_expansion([1], 2.0)
 
 
 @pytest.mark.parametrize("n, x", [(170, 10.0), (158, 3.0)])

@@ -1,6 +1,5 @@
 """CLI contract: outputs, formats, exit codes."""
 
-import argparse
 import contextlib
 import csv
 import decimal
@@ -688,44 +687,6 @@ def test_main_builds_the_parser_of_the_command_it_runs(argv, built, capsys, monk
     code, _, _ = run(argv, capsys)
     assert code == (0 if argv and argv[0] in ALL_EIGHT else 1)
     assert progs == built
-
-
-# Each subcommand's words after its name, all positionals given; "4" is n, or
-# --max-n's value.
-SUBCOMMAND_WORDS = {
-    "stirling1": ["4", "2"],
-    "bernoulli2": ["4"],
-    "harmonic": ["4"],
-    "ank": ["4", "3"],
-    "crosscheck": ["--max-n", "4"],
-    "probe": ["--max-n", "4"],
-    "bench": ["--max-n", "4"],
-    "deriv": ["4", "2.0"],
-}
-
-
-def _usage_error(parser, argv):
-    with pytest.raises(ValueError) as exc:
-        parser.parse_args(argv)
-    return str(exc.value)
-
-
-@pytest.mark.parametrize("name", ALL_EIGHT)
-def test_a_subcommands_own_parser_is_the_one_under_the_top_level(name):
-    # main parses a known subcommand with its own parser and builds the top
-    # level only for the help and the usage errors; the two must not drift.
-    own = cli.build_parser(name)
-    top = cli.build_parser()
-    (sub,) = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
-    inner = sub.choices[name]
-    assert own.format_help() == inner.format_help()
-    assert own.format_usage() == inner.format_usage()
-    words = SUBCOMMAND_WORDS[name]
-    for bad in (["x" if w == "4" else w for w in words], [], words + ["extra"]):
-        assert _usage_error(own, bad) == _usage_error(top, [name, *bad])
-    parsed = vars(top.parse_args([name, *words]))
-    assert parsed.pop("command") == name
-    assert vars(own.parse_args(words)) == parsed
 
 
 def test_no_parse_leaves_state_in_the_shared_parents(capsys):

@@ -112,7 +112,10 @@ def test_cli_import_loads_no_heavy_module():
 def test_cli_loads_only_the_modules_its_command_runs():
     base = _modules_after(BASE)
     run = "import gregory.cli; gregory.cli.main(%r)"
-    for statement in ("import gregory.cli", run % ["harmonic", "1"]):
+    # A mistyped or missing subcommand ends in a usage error, which runs no
+    # command and so loads none of the rest.
+    commands = [run % argv for argv in (["harmonic", "1"], ["nosuch"], [])]
+    for statement in ("import gregory.cli", *commands):
         loaded = _modules_after(statement)
         assert {"gregory.cli", "gregory._kernels", "gregory.exact"} <= loaded
         assert not LAZY & (loaded - base), statement
