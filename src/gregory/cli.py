@@ -36,11 +36,12 @@ harmonic; n >= 1 for ank and deriv; --max-n >= 2; --repeat >= 1; --digits
 argument (k, a route's first n, deriv --check needing x) are checked by the
 command, also before it writes.
 Each subcommand is declared once, in :data:`_SUBCOMMANDS`.  :func:`main`
-dispatches on argv's first word: a subcommand's name builds that
-subcommand's parser, named "gregory NAME", which parses the words after the
-name, and is the only parser that runs a command; any other first word goes
-to the top-level parser, which registers each subcommand by its name and
-help line only, and ends in the help or in a usage error that lists them.
+dispatches on argv's first word, or on its second when the first is "--": a
+subcommand's name builds that subcommand's parser, named "gregory NAME",
+which parses the words after the name, and is the only parser that runs a
+command; any other argv goes to the top-level parser, which registers each
+subcommand by its name and help line only, and ends in the help or in a
+usage error that lists them.
 Each call builds its parser anew, and only the --format and --digits
 parents, which hold nothing of a parse, are built once, at import.
 
@@ -657,13 +658,20 @@ def _exact_int_rendering():
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # A command's first word names its subcommand, whose own parser reads the
-    # words after it; any other first word goes to the top-level parser.
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    # A command's first word names its subcommand, or its second after a
+    # "--", which argparse releases read differently before a subcommand;
+    # that subcommand's own parser reads the words after the name.  Any other
+    # argv goes to the top-level parser.
+    at = 1 if argv[:1] == ["--"] else 0
+    command = argv[at] if len(argv) > at and argv[at] in _SUBCOMMANDS else None
     parser = build_parser(command)
     try:
         # argv is parsed under the cap; only the command's output is lifted.
-        args = parser.parse_args(argv if command is None else argv[1:])
+        args = parser.parse_args(argv if command is None else argv[at + 1:])
+        if command is None:
+            # The top level registers no subcommand's arguments or command,
+            # so a parse of it that returns runs nothing.
+            parser.error("the first word must name a subcommand")
         # Exact text for every command: ints print in full, and Decimal rows
         # (probe) raise rather than round.  Entered here, not in a generator:
         # a suspended generator's context would leak into its caller between

@@ -123,8 +123,9 @@ def cases():
         ["bernoulli2", "5", "--digits", "1000000000000000000"],
         ["crosscheck", "--max-n", "5", "--digits", "1000000000000000000", "--format", "csv"],
         ["bernoulli2", "x"],
-        # argv whose first word names no subcommand, which the top-level
-        # parser reads: each ends in a usage error, whatever follows
+        # argv that names no subcommand first, which the top-level parser
+        # reads: each ends in a usage error, whatever follows; but a "--"
+        # before a subcommand's name is skipped on every Python release
         [],
         ["nosuch"],
         ["--"],

@@ -1,5 +1,6 @@
 """CLI contract: outputs, formats, exit codes."""
 
+import argparse
 import contextlib
 import csv
 import decimal
@@ -672,6 +673,7 @@ EVERY_PROG = ["gregory"] + ["gregory " + name for name in ALL_EIGHT]
 @pytest.mark.parametrize("argv, built", [
     (["crosscheck", "--max-n", "3"], ["gregory crosscheck"]),
     (["stirling1", "4", "--format", "json"], ["gregory stirling1"]),
+    (["--", "harmonic", "5"], ["gregory harmonic"]),
     (["frobnicate"], EVERY_PROG),
     ([], EVERY_PROG),
 ])
@@ -685,8 +687,15 @@ def test_main_builds_the_parser_of_the_command_it_runs(argv, built, capsys, monk
 
     monkeypatch.setattr(cli, "_Parser", Counting)
     code, _, _ = run(argv, capsys)
-    assert code == (0 if argv and argv[0] in ALL_EIGHT else 1)
+    assert code == (1 if built == EVERY_PROG else 0)
     assert progs == built
+
+
+def test_the_top_level_runs_no_command(capsys, monkeypatch):
+    # Should an argparse release let the top level choose a subcommand, its
+    # namespace holds no command to run: main ends in a usage error.
+    monkeypatch.setattr(cli._Parser, "parse_args", lambda self, args: argparse.Namespace())
+    assert run(["-x", "harmonic"], capsys) == (1, "", "error: the first word must name a subcommand\n")
 
 
 def test_no_parse_leaves_state_in_the_shared_parents(capsys):
