@@ -14,9 +14,17 @@ follows from the relation and the Stirling recursion: on one triangle it
 would check only the relation's sign and factorial, so the acceptance suite
 evaluates it between the two recursions.
 
-Empirically every row rises to a single (possibly flat) peak and then falls;
-that is only a conjecture, so :func:`probe_row` reports the row shape instead
-of asserting it.
+Every row is strictly log-concave, hence unimodal with at most two equal
+maxima.  For n >= 1, c_j = |s(n,j)| are the coefficients of x(x+1)...(x+n-1),
+which has only real roots, so Newton's inequalities (Hardy, Littlewood and
+Polya, *Inequalities*, 1934) give c_j^2 >= c_(j-1) c_(j+1) (1 + 1/j)
+(1 + 1/(n-j)) for 1 <= j <= n-1; since a(n,j+1) = j! c_j, the ratios
+a(n,j+1)/a(n,j) = j c_j/c_(j-1) strictly fall in j.  Erdos (1953, J. London
+Math. Soc. 28, "On a conjecture of Hammersley") proved |s(n,.)| unimodal.
+Each row is also at least n-1 times the row before it, entry by entry, by the
+row recursion, since no entry is negative.  So :func:`probe_row` reports a
+shape that no correct row can fail: ``probe`` treats a failure as a
+computation fault.
 """
 
 import itertools

@@ -24,9 +24,10 @@ the row once, joining its entries' str() with no escaping: such text has no
 character that JSON escapes or CSV quotes.  Exact values are printed in full
 however many digits they have.  Exit codes: 0 success, 1 usage or domain
 error (an input too large to allocate or to index included), 2
-verification failure.  The parser and the commands raise a usage or domain
-error as ValueError, which :func:`main` prints as one ``error:`` line.  A
-reader that closes the output pipe early ends the command quietly with
+verification failure (a route disagreement, a failed ``deriv --check``, or a
+probe row of the wrong shape).  The parser and the commands raise a usage or
+domain error as ValueError, which :func:`main` prints as one ``error:`` line.
+A reader that closes the output pipe early ends the command quietly with
 exit 1.
 
 Fixed argument bounds are declared once, in the parser, and checked with
@@ -42,8 +43,11 @@ which parses the words after the name, and is the only parser that runs a
 command; any other argv goes to the top-level parser, which registers each
 subcommand by its name and help line only, and ends in the help or in a
 usage error that lists them.
-Each call builds its parser anew, and only the --format and --digits
-parents, which hold nothing of a parse, are built once, at import.
+A subcommand's parser is built on its first call and kept for the rest of
+the process (the bernoulli2 parser once per set of route names, since
+``--method`` offers the registry's routes); the --format and --digits
+parents are built once, at import.  No parser holds anything of a parse.
+The top-level parser is built anew on each call that reaches it.
 
 Start-up imports only what the command runs.  This module loads
 :mod:`gregory._kernels` and :mod:`gregory.exact`, all that ``harmonic``
@@ -386,9 +390,15 @@ def _probe_lines(records):
 
 
 def cmd_probe(args):
+    """Probe every a-row to --max-n.  Each row is unimodal and at least the
+    row before it entry by entry (see :mod:`gregory.asequence`), so a row
+    reported otherwise is a computation fault: exit 2, after the summary."""
     from .asequence import a_rows, probe_a_row
 
+    shape_holds = False
+
     def records():
+        nonlocal shape_holds
         # Each a-row is probed and written as it streams; only row n-1 is kept.
         # The rows are Decimals, which print in linear time; they are exact
         # because main runs every command in EXACT_DECIMAL.
@@ -411,6 +421,7 @@ def cmd_probe(args):
                     "increasing_in_n": r.increasing_in_n_ok,
                 },
             )
+        shape_holds = increasing and unimodal == args.max_n
         yield OutputRecord(
             "probe",
             None,
@@ -420,7 +431,7 @@ def cmd_probe(args):
         )
 
     emit(records(), args.format, _probe_lines)
-    return EXIT_OK
+    return EXIT_OK if shape_holds else EXIT_VERIFY
 
 
 def _bench_table(records):
@@ -556,7 +567,8 @@ def _bernoulli2_arguments(p):
 
     p.add_argument("n", type=_at_least(0))
     # The default is the first route, the reference column.  The choices are
-    # read from the registry each time the parser is built.
+    # read from the registry when the parser is built, and build_parser keys
+    # this parser on the registry's names.
     p.add_argument("--method", choices=(*ROUTES, "all"), default=next(iter(ROUTES)))
 
 
@@ -610,21 +622,37 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
+def _subcommand_parser(command, routes):
+    """The parser of subcommand ``command``; ``routes``, the route names for
+    bernoulli2 and None for every other, only keys the cache."""
+    func, _, takes_digits, add_arguments = _SUBCOMMANDS[command]
+    parents = [_FORMAT, _DIGITS] if takes_digits else [_FORMAT]
+    parser = _Parser(prog="gregory " + command, parents=parents)
+    add_arguments(parser)
+    parser.set_defaults(func=func)
+    return parser
+
+
 def build_parser(command=None):
     """The parser of subcommand ``command`` as :data:`_SUBCOMMANDS` declares
     it, named "gregory NAME", which parses the words after the subcommand's
     name; or, when ``command`` is None or names none of them, the top-level
     parser, which registers each subcommand by its name and help line only:
-    all it parses ends in the help or in a usage error that lists them.  Each
-    call builds a new parser, so ``bernoulli2 --method`` reads the route
-    registry as it is then."""
+    all it parses ends in the help or in a usage error that lists them.
+
+    A subcommand's parser is built once per process and returned again on
+    each later call; it holds nothing of a parse.  The bernoulli2 parser is
+    kept per set of route names, so ``--method`` offers the route registry as
+    it is at the call.  The top-level parser, which serves only the help and
+    usage errors, is built anew on each call, so no unknown name is kept."""
     if command in _SUBCOMMANDS:
-        func, _, takes_digits, add_arguments = _SUBCOMMANDS[command]
-        parents = [_FORMAT, _DIGITS] if takes_digits else [_FORMAT]
-        parser = _Parser(prog="gregory " + command, parents=parents)
-        add_arguments(parser)
-        parser.set_defaults(func=func)
-        return parser
+        routes = None
+        if command == "bernoulli2":
+            from .bernoulli import ROUTES
+
+            routes = tuple(ROUTES)
+        return _subcommand_parser(command, routes)
     parser = _Parser(
         prog="gregory",
         description="Exact Bernoulli numbers of the second kind, Stirling numbers "

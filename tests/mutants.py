@@ -128,6 +128,14 @@ MUTANTS = [
         "total = total * m + (term",
         "total = total * (m + 1) + (term",
     ),
+    # The bernoulli2 parser kept on its name alone: once built, its --method
+    # never offers a route added to the registry after it.
+    Mutant(
+        "build_parser-bernoulli2-keyed-on-name-only",
+        "src/gregory/cli.py",
+        "return _subcommand_parser(command, routes)",
+        "return _subcommand_parser(command, None)",
+    ),
 ]
 
 EQUIVALENT = [

@@ -215,3 +215,12 @@ def test_last_two_entries_ordering(a_table):
     # while a(n,2) stays below a(n,n+1)
     for n in range(2, 31):
         assert a_table.value(n, 2) < a_table.value(n, n + 1)
+
+
+def test_rows_are_strictly_log_concave_to_300():
+    # a(n,j+1) = j! |s(n,j)|, so Newton's inequalities on the Stirling row
+    # make each row strictly log-concave, hence unimodal: probe's flags are
+    # a theorem, and a row that fails them is a computation fault.
+    for n, row in enumerate(a_rows(300), 1):
+        for k in range(1, n - 1):
+            assert row[k] ** 2 > row[k - 1] * row[k + 1], (n, k + 2)

@@ -10,15 +10,26 @@ of a b_n and each 1/j here has prime factors at most n + 1, so all are
 invertible mod p.  A wrong value passes only if p divides the numerator of
 its error, for both primes at once.  The check shares no row, kernel or
 series code with the routes.
+
+The decimal ``--digits`` prints is checked against an analytic value too:
+the definition b_n = int_0^1 C(x, n) dx in the form
+
+    |b_n| = int_0^1 x Gamma(n - x) / (Gamma(1 - x) Gamma(n + 1)) dx,
+
+whose integrand keeps one sign on (0, 1), with the sign (-1)^(n+1).  mpmath
+(which sympy, a test dependency, brings) integrates it in floating point.
 """
 
 import functools
+import random
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from operator import mul
 
 import pytest
 
 from gregory.bernoulli import ROUTES, bernoulli2_values
+from gregory.exact import EXACT_DECIMAL, decimal_string
 
 MAX_N = 800
 PRIMES = (2**61 - 1, 2**89 - 1)
@@ -64,3 +75,36 @@ def test_certificate_catches_a_sign_error():
     column = list(_column(next(iter(ROUTES))))
     column[400] = -column[400]
     assert _first_failure(column, PRIMES[0]) == 400
+
+
+PLACES = 30
+# The quadrature runs at 45 digits, about 1e-40 off; an n whose value lies
+# nearer than this to a rounding boundary at PLACES places is skipped.
+MARGIN = Decimal("1e-35")
+SAMPLE = sorted({2, MAX_N, *random.Random(4934).sample(range(3, MAX_N), 18)})
+
+
+def _integral(n):
+    """b_n by quadrature, as the exact Decimal of the binary float mpmath
+    returns."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(45):
+        man, exp = mpmath.quad(
+            lambda x: x * mpmath.gamma(n - x) * mpmath.rgamma(1 - x) / mpmath.gamma(n + 1),
+            [0, 1 / mpmath.log(n + 1), 1],
+        ).man_exp
+    # man 2^exp = man 5^-exp 10^exp, exactly: the integrand is positive and
+    # exp negative for every |b_n| < 1.
+    with localcontext(EXACT_DECIMAL):
+        return Decimal((-1) ** (n + 1) * int(man) * 5 ** -exp).scaleb(exp)
+
+
+@pytest.mark.parametrize("n", SAMPLE)
+def test_decimal_is_the_integral_rounded(n):
+    value = _integral(n)
+    with localcontext(EXACT_DECIMAL):
+        if abs(abs(value).scaleb(PLACES) % 1 - Decimal("0.5")) < MARGIN.scaleb(PLACES):
+            pytest.skip("b_%d lies within %s of a rounding boundary" % (n, MARGIN))
+    unit = Decimal(1).scaleb(-PLACES)
+    expected = format(value.quantize(unit, ROUND_HALF_EVEN, Context(prec=80)), "f")
+    assert decimal_string(_column(next(iter(ROUTES)))[n], PLACES) == expected

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import decimal
+import importlib.util
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import re
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,12 @@ from hypothesis import strategies as st
 
 import gregory.cli as cli
 from gregory import MethodReport, asequence, bernoulli, bernoulli2_report, harmonic, stirling
+
+_spec = importlib.util.spec_from_file_location(
+    "parser_reuse", Path(__file__).resolve().parent / "parser_reuse.py"
+)
+parser_reuse = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(parser_reuse)
 
 
 def run(argv, capsys):
@@ -277,18 +285,22 @@ def test_probe(capsys):
     assert "increasing_in_n: OK" in out
 
 
-def _failing_a_rows(max_n, one):
-    """Three rows that real a(n,k) never give: row 2 shrinks against row 1,
-    row 3 has two separated maxima."""
-    assert max_n == 3
-    for row in ([5], [4, 6], [8, 7, 8]):
-        yield [one * v for v in row]
+def _rows(*rows):
+    """An a_rows stand-in that yields ``rows`` for max_n = len(rows)."""
+
+    def a_rows(max_n, one):
+        assert max_n == len(rows)
+        return ([one * v for v in row] for row in rows)
+
+    return a_rows
 
 
 def test_probe_reports_shrinking_and_two_peaked_rows(capsys, monkeypatch):
-    monkeypatch.setattr(asequence, "a_rows", _failing_a_rows)
+    # Rows that real a(n,k) never give: row 2 shrinks against row 1, row 3
+    # has two separated maxima.
+    monkeypatch.setattr(asequence, "a_rows", _rows([5], [4, 6], [8, 7, 8]))
     code, out, _ = run(["probe", "--max-n", "3"], capsys)
-    assert code == 0
+    assert code == 2
     assert out.splitlines() == [
         "n=1 row=[5] peaks=[2] unimodal=yes increasing=ok",
         "n=2 row=[4, 6] peaks=[3] unimodal=yes increasing=NO",
@@ -298,7 +310,7 @@ def test_probe_reports_shrinking_and_two_peaked_rows(capsys, monkeypatch):
     ]
 
     code, out, _ = run(["probe", "--max-n", "3", "--format", "json"], capsys)
-    assert code == 0
+    assert code == 2
     records = json.loads(out)
     assert [(r["unimodal"], r["increasing_in_n"]) for r in records[:3]] == [
         (True, True), (True, False), (False, True)
@@ -309,8 +321,30 @@ def test_probe_reports_shrinking_and_two_peaked_rows(capsys, monkeypatch):
     }
 
     code, out, _ = run(["probe", "--max-n", "3", "--format", "csv"], capsys)
-    assert code == 0
+    assert code == 2
     assert out.splitlines()[-1] == "probe,,,summary,unimodal rows: 2/3,"
+
+
+@pytest.mark.parametrize("rows, summary", [
+    # Row 3 dents: it falls, then rises again.  Each row grows on the last.
+    (([1], [1, 1], [2, 1, 2]), ("unimodal rows: 2/3", True)),
+    # Row 3 is unimodal but one entry shrinks against row 2.
+    (([1], [1, 4], [2, 3, 2]), ("unimodal rows: 3/3", False)),
+])
+@pytest.mark.parametrize("fmt", ["frac", "json", "csv"])
+def test_probe_exits_2_on_a_row_of_the_wrong_shape(rows, summary, fmt, capsys, monkeypatch):
+    # Every real a-row is unimodal and grows on the row before it, so either
+    # flag failing is a computation fault; the summary is still written last.
+    monkeypatch.setattr(asequence, "a_rows", _rows(*rows))
+    code, out, err = run(["probe", "--max-n", "3", "--format", fmt], capsys)
+    assert (code, err) == (2, "")
+    if fmt == "json":
+        last = json.loads(out)[-1]
+        assert (last["value"], last["increasing_in_n"]) == summary
+    elif fmt == "csv":
+        assert list(csv.reader(io.StringIO(out)))[-1][4] == summary[0]
+    else:
+        assert out.splitlines()[-2] == summary[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -371,6 +405,8 @@ def test_a_route_added_to_the_registry_reaches_every_report_and_command(capsys, 
     # of nemes) shows up in the reports, the agreement rule and the CLI,
     # --method's choices included.
     nemes_again = bernoulli.Route(0, bernoulli._nemes_stream)
+    # The bernoulli2 parser built before the route is added does not offer it.
+    assert run(["bernoulli2", "5", "--method", "nemes"], capsys)[:2] == (0, "3/160\n")
     monkeypatch.setitem(bernoulli.ROUTES, "nemes_again", nemes_again)
     names = ["series", "nemes", "theorem", "ank", "nemes_again"]
     assert list(bernoulli.ROUTES) == names
@@ -670,6 +706,14 @@ def test_build_parser_registers_the_named_subcommand_or_all_eight():
 EVERY_PROG = ["gregory"] + ["gregory " + name for name in ALL_EIGHT]
 
 
+@pytest.fixture
+def fresh_parsers():
+    """No subcommand's parser is kept from before the test or after it."""
+    cli._subcommand_parser.cache_clear()
+    yield
+    cli._subcommand_parser.cache_clear()
+
+
 @pytest.mark.parametrize("argv, built", [
     (["crosscheck", "--max-n", "3"], ["gregory crosscheck"]),
     (["stirling1", "4", "--format", "json"], ["gregory stirling1"]),
@@ -677,7 +721,10 @@ EVERY_PROG = ["gregory"] + ["gregory " + name for name in ALL_EIGHT]
     (["frobnicate"], EVERY_PROG),
     ([], EVERY_PROG),
 ])
+@pytest.mark.usefixtures("fresh_parsers")
 def test_main_builds_the_parser_of_the_command_it_runs(argv, built, capsys, monkeypatch):
+    # A subcommand's parser is built on its first call and reused after it;
+    # the top level, for a missing or unknown name, is built on every call.
     progs = []
 
     class Counting(cli._Parser):
@@ -689,6 +736,43 @@ def test_main_builds_the_parser_of_the_command_it_runs(argv, built, capsys, monk
     code, _, _ = run(argv, capsys)
     assert code == (1 if built == EVERY_PROG else 0)
     assert progs == built
+    progs.clear()
+    assert run(argv, capsys)[0] == code
+    assert progs == (EVERY_PROG if built == EVERY_PROG else [])
+
+
+@pytest.mark.usefixtures("fresh_parsers")
+def test_a_kept_parser_gives_every_later_call_the_first_calls_output():
+    # Every subcommand in every format, with usage errors in between, twice:
+    # the first pass builds the parsers and the second reuses them.
+    first, second = parser_reuse.two_passes()
+    expected = list(map(parser_reuse.expected_exit, parser_reuse.battery()))
+    assert [code for _, (code, _, _) in first] == expected
+    assert second == first
+
+
+def test_a_subcommands_parser_is_kept_and_the_top_level_is_not(capsys):
+    assert cli.build_parser("harmonic") is cli.build_parser("harmonic")
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser("nosuch") is not cli.build_parser("nosuch")
+    kept = cli._subcommand_parser.cache_info().currsize
+    for i in range(100):
+        assert run(["nosuch%d" % i], capsys)[0] == 1
+    assert cli._subcommand_parser.cache_info().currsize == kept
+
+
+def test_the_bernoulli2_parser_is_kept_per_set_of_route_names(monkeypatch):
+    parser = cli.build_parser("bernoulli2")
+    assert cli.build_parser("bernoulli2") is parser
+    nemes_again = bernoulli.Route(0, bernoulli._nemes_stream)
+    monkeypatch.setitem(bernoulli.ROUTES, "nemes_again", nemes_again)
+    with_route = cli.build_parser("bernoulli2")
+    assert with_route is not parser
+    assert with_route.parse_args(["5", "--method", "nemes_again"]).method == "nemes_again"
+    with pytest.raises(ValueError, match="invalid choice: 'nemes_again'"):
+        parser.parse_args(["5", "--method", "nemes_again"])
+    monkeypatch.delitem(bernoulli.ROUTES, "nemes_again")
+    assert cli.build_parser("bernoulli2") is parser
 
 
 def test_the_top_level_runs_no_command(capsys, monkeypatch):
@@ -765,18 +849,7 @@ def _reject_constant(name):
     raise ValueError("non-standard JSON constant %s" % name)
 
 
-EVERY_SUBCOMMAND = [
-    ["stirling1", "5"],
-    ["stirling1", "5", "2"],
-    ["bernoulli2", "6", "--method", "all", "--digits", "8"],
-    ["harmonic", "7", "--digits", "4"],
-    ["ank", "5", "3"],
-    ["crosscheck", "--max-n", "5"],
-    ["probe", "--max-n", "5"],
-    ["bench", "--max-n", "3"],
-    ["deriv", "2", "3.0"],
-    ["deriv", "3", "2.0", "--check", "1e-3", "1e-4"],
-]
+EVERY_SUBCOMMAND = parser_reuse.EVERY_SUBCOMMAND
 
 
 @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND)
@@ -806,28 +879,22 @@ class _UncomparableFormat(str):
 @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND)
 def test_only_emit_reads_the_format(argv, fmt, capsys, monkeypatch):
     # The command sees a format it cannot compare; the emit spy hands the
-    # plain string on to the real writer.
-    real_build_parser, real_emit = cli.build_parser, cli.emit
+    # plain string on to the real writer.  parse_args is patched on the class,
+    # not on a parser, which main keeps for later calls.
+    real_parse_args, real_emit = cli._Parser.parse_args, cli.emit
     seen = []
 
-    def build_parser(*args):
-        parser = real_build_parser(*args)
-        parse_args = parser.parse_args
-
-        def parse_uncomparable(argv):
-            args = parse_args(argv)
-            args.format = _UncomparableFormat(args.format)
-            return args
-
-        parser.parse_args = parse_uncomparable
-        return parser
+    def parse_uncomparable(parser, argv):
+        args = real_parse_args(parser, argv)
+        args.format = _UncomparableFormat(args.format)
+        return args
 
     def emit(records, fmt, *renderer):
         assert isinstance(fmt, _UncomparableFormat)
         seen.append(fmt)
         real_emit(records, str(fmt), *renderer)
 
-    monkeypatch.setattr(cli, "build_parser", build_parser)
+    monkeypatch.setattr(cli._Parser, "parse_args", parse_uncomparable)
     monkeypatch.setattr(cli, "emit", emit)
     code, out, _ = run(argv + ["--format", fmt], capsys)
     assert code == 0

@@ -19,6 +19,7 @@ from gregory import (
     stirling_row,
     stirling_triangle,
 )
+from gregory import _kernels
 
 
 @pytest.fixture(scope="module")
@@ -204,3 +205,13 @@ def test_sign_pattern(triangle):
     for n in range(0, 41):
         for k, v in enumerate(triangle.row(n)):
             assert (-1) ** (n + k) * v >= 0
+
+
+def test_rows_meet_newtons_inequalities_to_300():
+    # |s(n,.)| are the coefficients of x(x+1)...(x+n-1), which has only real
+    # roots, so Newton's inequalities hold (Hardy, Littlewood and Polya 1934):
+    # c_j^2 >= c_(j-1) c_(j+1) (1 + 1/j)(1 + 1/(n-j)) for 1 <= j <= n-1.
+    for n, row in enumerate(_kernels.stirling_rows(300)):
+        c = list(map(abs, row))
+        for j in range(1, n):
+            assert c[j] ** 2 * j * (n - j) >= c[j - 1] * c[j + 1] * (j + 1) * (n - j + 1), (n, j)
